@@ -9,12 +9,14 @@ errors.  Performance values accept a unit-prefix suffix (``0.1254E`` means
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import ingest, report
-from .contributions import (DEFAULT_MACHINE, MachineModel, ModelDomainError,
-                            peak_point, preset, preset_names, rmax_of_rpeak,
+from .contributions import (DEFAULT_MACHINE, ModelDomainError, peak_point,
+                            preset, preset_names, rmax_of_rpeak,
                             with_overrides)
 from .model import (ParallelSystem, PerformancePoint, RelativisticParams,
                     alpha_from_measurement, classic_speed, classic_total_perf,
@@ -33,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 _DECOMP_KEYS = ("alpha_sw", "ctx_switch_clocks", "total_clocks",
                 "loop_clocks_per_pu", "bio_factor")
-_MACHINE_KEYS = ("perf_per_pu", "clock_freq")
+_MACHINE_KEYS = ("perf_per_pu",)
 
 
 def _parse_overrides(pairs):
@@ -64,11 +66,18 @@ def _preset_setup(args):
     p = preset(args.preset)
     decomp_over, machine_over = _parse_overrides(args.override)
     d = with_overrides(p.decomposition, **decomp_over) if decomp_over else p.decomposition
-    m = MachineModel(
-        perf_per_pu=machine_over.get("perf_per_pu", DEFAULT_MACHINE.perf_per_pu),
-        clock_freq=machine_over.get("clock_freq", DEFAULT_MACHINE.clock_freq),
-    )
-    return d, m
+    return d, replace(DEFAULT_MACHINE, **machine_over)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float options: nan and infinities are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _flops(text: str, flag: str) -> float:
@@ -162,7 +171,7 @@ def cmd_surface(args) -> int:
 
 
 def cmd_timeline(args) -> int:
-    records, warnings = _load_records(args.data, "fig3_timeline.csv")
+    records, warnings = ingest.load_records(args.data, "fig3_timeline.csv")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     entry = ingest.timeline(records, args.machine)
@@ -189,10 +198,7 @@ def cmd_relativistic(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    fig_id = args.id.upper()
-    if fig_id not in report.FIGURE_IDS:
-        raise UsageError(f"unknown figure id {args.id!r}; valid ids: "
-                         f"{', '.join(report.FIGURE_IDS)}")
+    fig_id = args.id  # upper-cased and checked by the parser
     cs = report.build_figure(fig_id, data_path=args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -206,13 +212,6 @@ def cmd_figure(args) -> int:
             report.emit_svg(cs, fh)
         print(str(svg_path))
     return 0
-
-
-def _load_records(data_path, bundled_name):
-    if data_path is None:
-        return ingest.load_bundled(bundled_name)
-    with open(data_path, "r", encoding="utf-8") as fh:
-        return ingest.parse_records(fh)
 
 
 def _write_lines(rows, out_path) -> None:
@@ -246,16 +245,18 @@ def build_parser() -> _Parser:
     p.add_argument("--preset", choices=preset_names(), help="benchmark preset")
     p.add_argument("--rpeak", help="nominal performance in flop/s, prefix "
                                    "suffix allowed (e.g. 0.00587E)")
-    p.add_argument("--n", type=float, help="number of processing units (count)")
+    p.add_argument("--n", type=_finite_float,
+                   help="number of processing units (count)")
     p.add_argument("--p", help="per-PU performance in flop/s (e.g. 100G)")
-    p.add_argument("--alpha", type=float, help="parallel fraction in [0, 1]")
+    p.add_argument("--alpha", type=_finite_float,
+                   help="parallel fraction in [0, 1]")
     p.add_argument("--unit", **unit_kw)
     p.add_argument("--override", action="append", metavar="KEY=VALUE",
                    help="model constant override (repeatable)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("invert", help="serial fraction from a measurement")
-    p.add_argument("--n", type=float, required=True,
+    p.add_argument("--n", type=_finite_float, required=True,
                    help="number of processing units (count, >= 2)")
     p.add_argument("--rpeak", required=True,
                    help="nominal performance in flop/s (e.g. 0.1254E)")
@@ -277,11 +278,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("surface", help="efficiency grid over PUs and serial fraction")
-    p.add_argument("--nmin", type=float, default=1.0, help="smallest PU count")
-    p.add_argument("--nmax", type=float, default=1e8, help="largest PU count")
-    p.add_argument("--npar-min", type=float, default=1e-8,
+    p.add_argument("--nmin", type=_finite_float, default=1.0,
+                   help="smallest PU count")
+    p.add_argument("--nmax", type=_finite_float, default=1e8,
+                   help="largest PU count")
+    p.add_argument("--npar-min", type=_finite_float, default=1e-8,
                    help="smallest serial fraction (dimensionless)")
-    p.add_argument("--npar-max", type=float, default=1e-2,
+    p.add_argument("--npar-max", type=_finite_float, default=1e-2,
                    help="largest serial fraction (dimensionless)")
     p.add_argument("--points", type=int, default=report.SAMPLES_PER_CURVE,
                    help="PU-count samples per row")
@@ -298,15 +301,17 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_timeline)
 
     p = sub.add_parser("relativistic", help="speed under constant acceleration")
-    p.add_argument("--t", type=float, required=True, help="time in seconds")
-    p.add_argument("--n", type=float, default=1.0,
+    p.add_argument("--t", type=_finite_float, required=True,
+                   help="time in seconds")
+    p.add_argument("--n", type=_finite_float, default=1.0,
                    help="optical density (dimensionless, >= 1)")
-    p.add_argument("--a", type=float, default=9.81,
+    p.add_argument("--a", type=_finite_float, default=9.81,
                    help="acceleration in m/s^2")
     p.set_defaults(func=cmd_relativistic)
 
     p = sub.add_parser("figure", help="regenerate a model figure")
-    p.add_argument("id", help=f"figure id: {', '.join(report.FIGURE_IDS)}")
+    p.add_argument("id", type=str.upper, choices=report.FIGURE_IDS,
+                   help=f"figure id: {', '.join(report.FIGURE_IDS)}")
     p.add_argument("--data", help="measurement CSV replacing the bundled "
                                   "dataset (figures 1, 3, 4)")
     p.add_argument("-o", "--out", default=".", help="output directory")

@@ -16,7 +16,7 @@ slower period than the hardware clock (processor-based neural simulation).
 Because the serial fraction grows with N while nominal performance grows
 linearly, the payload performance curve R_Max(R_Peak) has an interior
 maximum: past it, adding processors reduces delivered performance.
-:func:`peak_point` locates it both numerically and analytically.
+:func:`peak_point` locates it in closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import PerformancePoint, efficiency_from_nonparallel
+from .model import PerformancePoint, efficiency_from_nonparallel, require_finite
 
 
 class ModelDomainError(ValueError):
@@ -46,6 +46,8 @@ class AlphaDecomposition:
     bio_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(self, ("alpha_sw", "ctx_switch_clocks", "total_clocks",
+                              "loop_clocks_per_pu", "bio_factor"))
         for name in ("alpha_sw", "ctx_switch_clocks", "loop_clocks_per_pu"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -67,14 +69,14 @@ class AlphaDecomposition:
 
 @dataclass(frozen=True)
 class MachineModel:
-    """Per-PU payload performance and clock frequency of the modeled machine."""
+    """Per-PU payload performance of the modeled machine."""
 
     perf_per_pu: float = 100e9
-    clock_freq: float = 1e9
 
     def __post_init__(self) -> None:
-        if self.perf_per_pu <= 0 or self.clock_freq <= 0:
-            raise ValueError("perf_per_pu and clock_freq must be > 0")
+        require_finite(self, ("perf_per_pu",))
+        if self.perf_per_pu <= 0:
+            raise ValueError("perf_per_pu must be > 0")
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ class BenchmarkPreset:
 
 
 #: Machine the built-in presets are calibrated for: 100 Gflop/s per PU at 1 GHz.
-DEFAULT_MACHINE = MachineModel(perf_per_pu=100e9, clock_freq=1e9)
+DEFAULT_MACHINE = MachineModel(perf_per_pu=100e9)
 
 _CTX_SWITCH_CLOCKS = 1e4   # clock cycles burned per context change
 _TOTAL_CLOCKS = 2e13       # clock cycles in the full benchmark run
@@ -166,7 +168,8 @@ class PeakPoint:
     """Interior maximum of the R_Max(R_Peak) curve.
 
     ``n_star`` is the continuous maximizer; ``n_star_int`` is whichever of
-    its two neighbouring integers delivers the higher payload performance.
+    its two neighbouring integers inside the validity bound delivers the
+    higher payload performance.
     """
 
     n_star: float
@@ -176,72 +179,47 @@ class PeakPoint:
     r_max_star_int: float
 
 
-def _rmax_at(n_proc: float, m: MachineModel, d: AlphaDecomposition) -> float:
-    # Bare curve evaluation for the search; domain errors cannot occur below
-    # the validity bound checked by the caller.
-    beta = d.alpha_sw + alpha_os(n_proc, d)
-    return n_proc * m.perf_per_pu / (1.0 + (n_proc - 1.0) * beta)
-
-
-def _golden_section_log_max(f, lo: float, hi: float, rel_tol: float) -> float:
-    """Maximize a unimodal f over [lo, hi] by golden-section on log x."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = f(math.exp(c)), f(math.exp(e))
-    while b - a > rel_tol:
-        if fc > fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = f(math.exp(c))
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = f(math.exp(e))
-    return math.exp(0.5 * (a + b))
-
-
-def peak_point(m: MachineModel, d: AlphaDecomposition,
-               rel_tol: float = 1e-6) -> PeakPoint:
+def peak_point(m: MachineModel, d: AlphaDecomposition) -> PeakPoint:
     """Locate the PU count where payload performance turns over.
 
-    A golden-section search over log N finds the maximum numerically; the
-    exact maximizer of N / (1 + (N-1)*(a + b*N)) is sqrt((1-a)/b), and the
-    two must agree, which calling code uses as a cross-check.  With a zero
-    slope (no looping cost) the curve saturates monotonically and there is
-    no interior maximum to report.
+    The maximizer is the closed form :func:`analytic_peak_n`; the payload
+    is evaluated there and at its integer neighbours with
+    :func:`rmax_of_rpeak`.  A neighbour past the validity bound N*^2
+    (possible only when N* <= sqrt(2)) is not chosen.
     """
-    if d.slope <= 0.0:
-        raise ValueError(
-            "no interior maximum: serial fraction does not grow with N")
+    n_star = analytic_peak_n(d)
 
-    def f(n: float) -> float:
-        return _rmax_at(n, m, d)
+    def payload(n: float) -> float:
+        return rmax_of_rpeak(n * m.perf_per_pu, m, d).r_max
 
-    # Bracket the turnover by doubling, independent of the analytic form.
-    hi = 4.0
-    while f(hi) >= f(hi / 2.0):
-        hi *= 2.0
-        if hi > 1e15:
-            raise ValueError("no interior maximum found below N=1e15")
-    n_star = _golden_section_log_max(f, 1.0, hi, rel_tol)
-
-    lo_int = max(1, math.floor(n_star))
-    hi_int = lo_int + 1
-    n_int = lo_int if f(lo_int) >= f(hi_int) else hi_int
+    n_int = math.floor(n_star)  # >= 1, since n_star > 1
+    r_int = payload(n_int)
+    try:
+        r_next = payload(n_int + 1)
+    except ModelDomainError:
+        r_next = -math.inf
+    if r_next > r_int:
+        n_int, r_int = n_int + 1, r_next
     return PeakPoint(
         n_star=n_star,
         r_peak_star=n_star * m.perf_per_pu,
-        r_max_star=f(n_star),
+        r_max_star=payload(n_star),
         n_star_int=n_int,
-        r_max_star_int=f(n_int),
+        r_max_star_int=r_int,
     )
 
 
 def analytic_peak_n(d: AlphaDecomposition) -> float:
-    """Closed-form maximizer sqrt((1-a)/b) of the payload curve."""
-    if d.slope <= 0.0:
+    """Closed-form maximizer N* = sqrt((1-a)/b) of the payload curve.
+
+    With a = ``constant_part`` and b = ``slope`` the payload curve
+    N / (1 + (N-1)*(a + b*N)) is Gunther's Universal Scalability Law, and
+    N* is its peak.  It is an interior maximum only when 0 < b < 1 - a,
+    i.e. N* > 1; otherwise the curve saturates without turning over (b = 0)
+    or the model is invalid from N = 1 on, and ValueError is raised.
+    """
+    if not 0.0 < d.slope < 1.0 - d.constant_part:
         raise ValueError(
-            "no interior maximum: serial fraction does not grow with N")
+            f"no interior maximum: need 0 < slope < 1 - constant_part, got "
+            f"slope {d.slope:.6g}, constant_part {d.constant_part:.6g}")
     return math.sqrt((1.0 - d.constant_part) / d.slope)

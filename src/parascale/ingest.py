@@ -20,24 +20,17 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Iterable
 
 from .model import alpha_from_measurement
+from .units import PREFIX_EXP
 
 BENCHMARKS = ("HPL", "HPCG")
 
 _HEADER_FIELDS = ("machine", "date", "benchmark", "rpeak", "rmax", "cores")
-_UNIT_SUFFIXES = {
-    "flops": 1.0,
-    "kflops": 1e3,
-    "mflops": 1e6,
-    "gflops": 1e9,
-    "tflops": 1e12,
-    "pflops": 1e15,
-    "eflops": 1e18,
-}
 
 
 class ParseError(ValueError):
@@ -47,6 +40,10 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column!r}: {reason}")
         self.line = line
         self.column = column
+
+
+class PayloadExceedsPeak(ValueError):
+    """A record whose r_max is above its r_peak, which no machine delivers."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ class MachineRecord:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
         if (self.r_peak is not None and self.r_max is not None
                 and self.r_max > self.r_peak):
-            raise ValueError(
+            raise PayloadExceedsPeak(
                 f"r_max {self.r_max:.6g} exceeds r_peak {self.r_peak:.6g}")
 
 
@@ -108,10 +105,12 @@ def _parse_header(row: list[str], line: int) -> tuple[list[str], dict[str, float
         for key in ("rpeak", "rmax"):
             if name.startswith(key + "_"):
                 suffix = name[len(key) + 1:]
-                if suffix not in _UNIT_SUFFIXES:
+                prefix = (suffix[:-len("flops")].upper()
+                          if suffix.endswith("flops") else None)
+                if prefix not in PREFIX_EXP:
                     raise ParseError(line, cell, f"unknown unit suffix {suffix!r}")
                 fields.append(key)
-                scales[key] = _UNIT_SUFFIXES[suffix]
+                scales[key] = 10.0 ** PREFIX_EXP[prefix]
                 break
         else:
             raise ParseError(line, cell, "unrecognized header column")
@@ -153,12 +152,12 @@ def parse_records(source: IO[str] | str) -> tuple[list[MachineRecord], list[str]
                 r_max=r_max,
                 cores=_parse_cores(cells["cores"], line),
             )
+        except PayloadExceedsPeak as exc:
+            warnings.append(f"line {line}: rejected {cells['machine']!r}: {exc}")
+            continue
+        except ParseError:
+            raise
         except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            if "exceeds r_peak" in str(exc):
-                warnings.append(f"line {line}: rejected {cells['machine']!r}: {exc}")
-                continue
             raise ParseError(line, "*", str(exc)) from None
         records.append(record)
     return records, warnings
@@ -177,28 +176,31 @@ def _non_comment_rows(source: IO[str]) -> Iterable[tuple[int, list[str]]]:
 
 def _parse_float(text: str, line: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(line, column, f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(line, column, f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_perf(text: str, scale: float, line: int, column: str) -> float | None:
     if text == "":
         return None
-    value = _parse_float(text, line, column)
-    if value <= 0:
-        raise ParseError(line, column, f"performance must be > 0, got {text!r}")
-    return value * scale
+    value = _parse_float(text, line, column) * scale
+    if not 0 < value < math.inf:  # the scale can overflow a finite cell
+        raise ParseError(line, column,
+                         f"performance must be > 0 and finite, got {text!r}")
+    return value
 
 
 def _parse_cores(text: str, line: int) -> int | None:
     if text == "":
         return None
-    try:
-        value = int(float(text))
-    except ValueError:
-        raise ParseError(line, "cores", f"not a count: {text!r}") from None
-    return value
+    value = _parse_float(text, line, "cores")
+    if not value.is_integer():
+        raise ParseError(line, "cores", f"not a whole count: {text!r}")
+    return int(value)
 
 
 def serialize_records(records: Iterable[MachineRecord], sink: IO[str]) -> None:
@@ -272,11 +274,11 @@ def load_meta(source: IO[str] | str) -> dict[str, dict[str, float]]:
             continue
         if len(row) != 3:
             raise ParseError(line, "*", f"expected 3 cells, got {len(row)}")
-        name = row[0].strip()
-        meta[name] = {
-            "cores": float(int(float(row[1]))),
-            "rpeak_flops": _parse_float(row[2].strip(), line, "rpeak_flops"),
-        }
+        cores = _parse_cores(row[1].strip(), line)
+        r_peak = _parse_perf(row[2].strip(), 1.0, line, "rpeak_flops")
+        if cores is None or r_peak is None:
+            raise ParseError(line, "*", "metadata cells must not be empty")
+        meta[row[0].strip()] = {"cores": float(cores), "rpeak_flops": r_peak}
     return meta
 
 
@@ -302,6 +304,15 @@ def join_meta(records: Iterable[MachineRecord],
             cores=r.cores if r.cores is not None else int(m["cores"]),
         ))
     return out
+
+
+def load_records(data_path: str | None,
+                 bundled_name: str) -> tuple[list[MachineRecord], list[str]]:
+    """Parse the measurement CSV at ``data_path``, or the named bundled one."""
+    if data_path is None:
+        return load_bundled(bundled_name)
+    with open(data_path, "r", encoding="utf-8") as fh:
+        return parse_records(fh)
 
 
 def bundled_path(name: str):

@@ -31,6 +31,14 @@ from dataclasses import dataclass, field
 LIGHT_SPEED = 299_792_458.0
 
 
+def require_finite(obj, names) -> None:
+    """Raise ValueError if any named attribute of ``obj`` is nan or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ParallelSystem:
     """A machine described by PU count, per-PU performance and parallel fraction.
@@ -58,6 +66,7 @@ class ParallelSystem:
         elif not 0.0 <= self.nonparallel <= 1.0:
             raise ValueError(
                 f"nonparallel must be in [0, 1], got {self.nonparallel}")
+        require_finite(self, ("n_proc", "perf_single"))
 
     @classmethod
     def from_nonparallel(cls, n_proc: float, perf_single: float,
@@ -76,6 +85,7 @@ class RelativisticParams:
     density: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(self, ("accel", "light_speed", "density"))
         if self.accel <= 0:
             raise ValueError(f"accel must be > 0, got {self.accel}")
         if self.light_speed <= 0:
@@ -98,12 +108,14 @@ class PerformancePoint:
     efficiency: float = field(default=math.nan)
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.r_max <= self.r_peak < math.inf:
+            raise ValueError(
+                f"need 0 < r_max <= r_peak < inf, got r_max={self.r_max}, "
+                f"r_peak={self.r_peak}")
         if math.isnan(self.efficiency):
             object.__setattr__(self, "efficiency", self.r_max / self.r_peak)
-        if not 0.0 < self.r_max <= self.r_peak:
-            raise ValueError(
-                f"need 0 < r_max <= r_peak, got r_max={self.r_max}, "
-                f"r_peak={self.r_peak}")
+        elif not math.isfinite(self.efficiency):
+            raise ValueError(f"efficiency must be finite, got {self.efficiency}")
 
 
 def classic_total_perf(sys: ParallelSystem) -> float:

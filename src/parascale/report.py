@@ -359,23 +359,16 @@ def build_figure(fig_id: str, data_path: str | None = None) -> CurveSet:
         raise ValueError(
             f"unknown figure id {fig_id!r}; valid ids: {', '.join(FIGURE_IDS)}")
     if fig_id == "1":
-        records, _ = _records_for(data_path, "fig4_points.csv")
+        records, _ = ingest.load_records(data_path, "fig4_points.csv")
         joined = ingest.join_meta(records, ingest.load_bundled_meta())
         return fig1_surface(measured=ingest.derive(joined))
     if fig_id == "3":
-        records, _ = _records_for(data_path, "fig3_timeline.csv")
+        records, _ = ingest.load_records(data_path, "fig3_timeline.csv")
         return fig3_timeline(records)
     if fig_id == "4":
-        records, _ = _records_for(data_path, "fig4_points.csv")
+        records, _ = ingest.load_records(data_path, "fig4_points.csv")
         return fig4_curves(measured=records)
     if fig_id == "5":
         return fig5_curves()
     return fig6_panel({"6A": "HPL", "6B": "HPCG", "6C": "NN"}[fig_id])
 
-
-def _records_for(data_path: str | None,
-                 bundled_name: str) -> tuple[list[ingest.MachineRecord], list[str]]:
-    if data_path is None:
-        return ingest.load_bundled(bundled_name)
-    with open(data_path, "r", encoding="utf-8") as fh:
-        return ingest.parse_records(fh)

@@ -2,23 +2,9 @@
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
-
-#: Multipliers for the prefixes accepted on the command line and in headers.
-PREFIX_SCALE = {
-    "": 1.0,
-    "K": 1e3,
-    "M": 1e6,
-    "G": 1e9,
-    "T": 1e12,
-    "P": 1e15,
-    "E": 1e18,
-}
-
-_PREFIX_EXP = {"": 0, "K": 3, "M": 6, "G": 9, "T": 12, "P": 15, "E": 18}
-
-#: Prefixes offered for display, largest first.
-_DISPLAY_ORDER = ("E", "P", "T", "G", "M", "K", "")
+#: Power-of-ten exponent of each unit prefix accepted on the command line
+#: and in CSV headers, smallest first; 10.0 ** exponent is the multiplier.
+PREFIX_EXP = {"": 0, "K": 3, "M": 6, "G": 9, "T": 12, "P": 15, "E": 18}
 
 
 def parse_flops(text: str) -> float:
@@ -28,12 +14,16 @@ def parse_flops(text: str) -> float:
     except that lowercase 'k' is accepted.  Scaling happens in decimal so
     '0.1254E' parses to exactly the float the literal 0.1254e18 denotes.
     """
+    # Imported here: ``import parascale`` reaches this module through
+    # ingest, and decimal would otherwise load on every import.
+    from decimal import Decimal, InvalidOperation
+
     s = text.strip()
     if not s:
         raise ValueError("empty flop/s value")
     suffix = s[-1].upper() if s[-1] in ("k",) else s[-1]
-    if suffix in _PREFIX_EXP and suffix != "":
-        exp, body = _PREFIX_EXP[suffix], s[:-1]
+    if suffix in PREFIX_EXP and suffix != "":
+        exp, body = PREFIX_EXP[suffix], s[:-1]
     else:
         exp, body = 0, s
     try:
@@ -52,11 +42,11 @@ def format_flops(value: float, prefix: str | None = None) -> str:
     chosen; pass 'G', 'P' or 'E' to force one.
     """
     if prefix is None:
-        for p in _DISPLAY_ORDER:
-            if abs(value) >= PREFIX_SCALE[p] or p == "":
+        for p in reversed(PREFIX_EXP):
+            if abs(value) >= 10.0 ** PREFIX_EXP[p] or p == "":
                 prefix = p
                 break
-    if prefix not in PREFIX_SCALE:
+    if prefix not in PREFIX_EXP:
         raise ValueError(f"unknown unit prefix {prefix!r}")
-    scaled = value / PREFIX_SCALE[prefix]
+    scaled = value / 10.0 ** PREFIX_EXP[prefix]
     return f"{scaled:.6g} {prefix}flop/s"

@@ -9,7 +9,7 @@ from parascale import cli
 from parascale.contributions import DEFAULT_MACHINE, peak_point, preset
 from parascale.units import format_flops, parse_flops
 
-REPO_DATA = Path(__file__).resolve().parent.parent / "data"
+REPO_DATA = Path(__file__).resolve().parent.parent / "src" / "parascale" / "data"
 
 
 def run(capsys, *argv):
@@ -71,6 +71,24 @@ class TestInvert:
         assert rc == 1
 
 
+class TestFiniteFloatOptions:
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--n", "nan", "--rpeak", "0.1254E", "--rmax", "0.0930E"],
+        ["invert", "--n", "inf", "--rpeak", "0.1254E", "--rmax", "0.0930E"],
+        ["predict", "--n", "1e6", "--p", "100G", "--alpha", "nan"],
+        ["predict", "--n", "inf", "--p", "100G", "--alpha", "0.5"],
+        ["surface", "--nmax", "inf"],
+        ["surface", "--npar-min", "nan"],
+        ["relativistic", "--t", "inf"],
+        ["relativistic", "--t", "1", "--a", "nan"],
+    ])
+    def test_non_finite_is_usage_error(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert "usage error" in err and "not a finite number" in err
+        assert out == ""
+
+
 class TestPredict:
     def test_explicit_system(self, capsys):
         rc, out, err = run(capsys, "predict", "--n", "1",
@@ -115,6 +133,14 @@ class TestPredict:
                          "--rpeak", "1P", "--override", "warp_factor=9")
         assert rc == 1
         assert "warp_factor" in err
+
+    @pytest.mark.parametrize("key", ["total_clocks", "bio_factor"])
+    def test_non_finite_override_is_data_error(self, capsys, key):
+        rc, out, err = run(capsys, "predict", "--preset", "HPL",
+                           "--rpeak", "1P", "--override", f"{key}=nan")
+        assert rc == 2
+        assert f"error: {key} must be finite" in err
+        assert out == ""
 
     def test_missing_arguments(self, capsys):
         rc, _, _ = run(capsys, "predict", "--n", "4")

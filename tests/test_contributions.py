@@ -9,6 +9,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from peak_search import numeric_peak_n
 
 from parascale.contributions import (DEFAULT_MACHINE, AlphaDecomposition,
                                      MachineModel, ModelDomainError,
@@ -40,7 +41,6 @@ class TestPresets:
 
     def test_shared_machine(self):
         assert DEFAULT_MACHINE.perf_per_pu == 100e9
-        assert DEFAULT_MACHINE.clock_freq == 1e9
 
     def test_lookup_case_insensitive(self):
         assert preset("hpcg").name == "HPCG"
@@ -180,8 +180,32 @@ class TestPeakPoint:
     @pytest.mark.parametrize("which", ["HPL", "HPCG", "NN"])
     def test_numeric_matches_analytic(self, which):
         d = preset(which).decomposition
-        numeric = peak_point(DEFAULT_MACHINE, d).n_star
-        assert numeric == pytest.approx(analytic_peak_n(d), rel=1e-4)
+        closed_form = peak_point(DEFAULT_MACHINE, d).n_star
+        assert numeric_peak_n(DEFAULT_MACHINE, d) == pytest.approx(
+            closed_form, rel=1e-4)
+
+    @pytest.mark.parametrize("params", [
+        dict(alpha_sw=0.0, ctx_switch_clocks=0.0, total_clocks=0.5),  # N* < 1
+        dict(alpha_sw=1.0, ctx_switch_clocks=0.0, total_clocks=2e13),
+        dict(alpha_sw=0.5, ctx_switch_clocks=1e13, total_clocks=2e13),
+    ], ids=["n_star_below_one", "alpha_sw_one", "constant_part_one"])
+    def test_no_interior_maximum_outside_domain(self, params):
+        d = AlphaDecomposition(**params)
+        with pytest.raises(ValueError, match="no interior maximum"):
+            analytic_peak_n(d)
+        with pytest.raises(ValueError, match="no interior maximum"):
+            peak_point(DEFAULT_MACHINE, d)
+
+    def test_integer_neighbour_stays_inside_validity(self):
+        # oracle: N* = sqrt(1.44) = 1.2; the validity bound is N*^2 = 1.44,
+        # so N = 2 lies outside the model and N = 1 is the only candidate
+        d = AlphaDecomposition(alpha_sw=0.0, ctx_switch_clocks=0.0,
+                               total_clocks=1.44)
+        peak = peak_point(DEFAULT_MACHINE, d)
+        assert peak.n_star == pytest.approx(1.2, rel=1e-12)
+        assert peak.n_star_int == 1
+        assert peak.r_max_star_int == DEFAULT_MACHINE.perf_per_pu
+        assert peak.r_max_star_int <= peak.r_max_star
 
     @settings(max_examples=300, derandomize=True)
     @given(alpha_sw=st.floats(min_value=0.0, max_value=1e-4),
@@ -226,3 +250,16 @@ class TestCrossModule:
             AlphaDecomposition(alpha_sw=0, ctx_switch_clocks=0, total_clocks=0)
         with pytest.raises(ValueError):
             MachineModel(perf_per_pu=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["alpha_sw", "ctx_switch_clocks",
+                                       "total_clocks", "loop_clocks_per_pu",
+                                       "bio_factor"])
+    def test_decomposition_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            with_overrides(HPL, **{field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_machine_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="perf_per_pu must be finite"):
+            MachineModel(perf_per_pu=bad)

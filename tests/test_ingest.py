@@ -1,7 +1,6 @@
 """Measurement parsing, derivation, timelines and the bundled datasets."""
 
 import io
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +94,35 @@ class TestParse:
     def test_unknown_unit_suffix(self):
         with pytest.raises(ParseError, match="unit suffix"):
             parse("machine,date,benchmark,rpeak_zflops,rmax_flops,cores\n")
+
+    @pytest.mark.parametrize("column,row", [
+        ("rpeak", "A,2000.0,HPL,inf,1e12,\n"),
+        ("rpeak", "A,2000.0,HPL,nan,1e12,\n"),
+        ("rmax", "A,2000.0,HPL,2e12,-inf,\n"),
+        ("cores", "A,2000.0,HPL,2e12,1e12,1.7\n"),
+        ("cores", "A,2000.0,HPL,2e12,1e12,inf\n"),
+        ("cores", "A,2000.0,HPL,2e12,1e12,nan\n"),
+    ])
+    def test_bad_cell_reports_line_and_column(self, column, row):
+        with pytest.raises(ParseError) as exc:
+            parse(HEADER + row)
+        assert (exc.value.line, exc.value.column) == (2, column)
+
+    def test_scaled_overflow_rejected(self):
+        with pytest.raises(ParseError, match="finite"):
+            parse("machine,date,benchmark,rpeak_eflops,rmax_flops,cores\n"
+                  "A,2000.0,HPL,1e300,1e12,\n")
+
+    def test_whole_float_core_count_accepted(self):
+        (r,), _ = parse(HEADER + "A,2000.0,HPL,2e12,1e12,2.414592e6\n")
+        assert r.cores == 2_414_592
+
+    def test_exceedance_has_its_own_exception(self):
+        with pytest.raises(ingest.PayloadExceedsPeak):
+            MachineRecord("Bad", 2000.0, "HPL", r_peak=1e12, r_max=2e12)
+        _, warnings = parse(HEADER + "Bad,2000.0,HPL,1e12,2e12,\n")
+        assert warnings == [
+            "line 2: rejected 'Bad': r_max 2e+12 exceeds r_peak 1e+12"]
 
 
 _names = st.text(
@@ -224,6 +252,20 @@ class TestMeta:
         with pytest.raises(ParseError):
             load_meta("machine,cpus,rpeak_flops\nX,1,1e12\n")
 
+    @pytest.mark.parametrize("column,row", [
+        ("cores", "X,abc,1e12"),
+        ("cores", "X,1.5,1e12"),
+        ("cores", "X,inf,1e12"),
+        ("rpeak_flops", "X,10,nan"),
+        ("rpeak_flops", "X,10,abc"),
+        ("rpeak_flops", "X,10,0"),
+        ("*", "X,,1e12"),
+    ])
+    def test_bad_meta_cell_reports_line_and_column(self, column, row):
+        with pytest.raises(ParseError) as exc:
+            load_meta(f"machine,cores,rpeak_flops\n{row}\n")
+        assert (exc.value.line, exc.value.column) == (2, column)
+
 
 class TestBundledData:
     def test_fig3_parses_clean(self):
@@ -243,9 +285,3 @@ class TestBundledData:
         taihulight = [r for r in hpl if r.machine == "Taihulight"]
         assert taihulight[0].r_peak == pytest.approx(0.125e18, rel=1e-12)
         assert taihulight[0].r_max == pytest.approx(0.0930e18, rel=1e-12)
-
-    def test_repo_data_dir_matches_package_copies(self):
-        repo_data = Path(__file__).resolve().parent.parent / "data"
-        for name in ("fig3_timeline.csv", "fig4_points.csv", "machines_meta.csv"):
-            packaged = ingest.bundled_path(name).read_text(encoding="utf-8")
-            assert (repo_data / name).read_text(encoding="utf-8") == packaged

@@ -177,6 +177,32 @@ class TestValidation:
         with pytest.raises(ValueError):
             PerformancePoint(r_peak=100e15, r_max=200e15)
 
+    @pytest.mark.parametrize("cls,kwargs", [
+        (ParallelSystem, dict(n_proc=math.nan, perf_single=1e9, alpha=0.5)),
+        (ParallelSystem, dict(n_proc=math.inf, perf_single=1e9, alpha=0.5)),
+        (ParallelSystem, dict(n_proc=10, perf_single=math.nan, alpha=0.5)),
+        (ParallelSystem, dict(n_proc=10, perf_single=math.inf, alpha=0.5)),
+        (ParallelSystem, dict(n_proc=10, perf_single=1e9, alpha=math.nan)),
+        (ParallelSystem, dict(n_proc=10, perf_single=1e9, alpha=0.5,
+                              nonparallel=math.inf)),
+        (RelativisticParams, dict(accel=math.nan)),
+        (RelativisticParams, dict(accel=math.inf)),
+        (RelativisticParams, dict(light_speed=math.nan)),
+        (RelativisticParams, dict(light_speed=math.inf)),
+        (RelativisticParams, dict(density=math.nan)),
+        (RelativisticParams, dict(density=math.inf)),
+        (PerformancePoint, dict(r_peak=math.nan, r_max=1e15)),
+        (PerformancePoint, dict(r_peak=math.inf, r_max=1e15)),
+        (PerformancePoint, dict(r_peak=math.inf, r_max=math.inf)),
+        (PerformancePoint, dict(r_peak=2e15, r_max=math.nan)),
+        (PerformancePoint, dict(r_peak=2e15, r_max=1e15, efficiency=math.inf)),
+    ])
+    def test_non_finite_fields_rejected(self, cls, kwargs):
+        # nan in nonparallel or efficiency means "derive it", so only
+        # infinities are tried there
+        with pytest.raises(ValueError):
+            cls(**kwargs)
+
 
 class TestProperties:
     @settings(max_examples=300, derandomize=True)

@@ -1,8 +1,11 @@
 """Figure dataset construction, CSV/SVG emission and determinism."""
 
 import csv
+import hashlib
 import io
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,9 @@ from parascale.report import (AxisSpec, CurveSet, Overlay, Series, build_figure,
                               emit_csv, emit_svg, fig1_surface, fig3_timeline,
                               fig4_curves, fig5_curves, fig6_panel,
                               taihulight_perf_per_pu)
+
+FIGURE_CSV_SHA256 = (Path(__file__).resolve().parent.parent / "bench"
+                     / "figure_csv_sha256.json")
 
 
 def csv_rows(cs):
@@ -262,12 +268,21 @@ class TestBuildFigure:
         cs = build_figure(fig_id)
         assert cs.series
 
+    @pytest.mark.parametrize("fig_id", report.FIGURE_IDS)
+    def test_csv_bytes_match_frozen_digests(self, fig_id):
+        # digests of `parascale figure <id>` output, kept with the benchmark
+        frozen = json.loads(FIGURE_CSV_SHA256.read_text(encoding="utf-8"))
+        sink = io.StringIO()
+        emit_csv(build_figure(fig_id), sink)
+        digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
+        assert digest == frozen[fig_id]
+
     def test_figure1_has_measured_overlays(self):
         cs = build_figure("1")
         assert {ov.name for ov in cs.overlays} == {"HPL measured", "HPCG measured"}
 
     def test_peak_agreement_with_contributions(self):
-        # the sampled panel curve's maximum matches the dedicated search
+        # the sampled panel curve's maximum matches the closed-form peak
         cs = build_figure("6C")
         rmax = next(s for s in cs.series if s.name == "rmax")
         sampled_max = max(y for _, y in rmax.points)
