@@ -172,8 +172,7 @@ def cmd_surface(args) -> int:
 
 def cmd_timeline(args) -> int:
     records, warnings = ingest.load_records(args.data, "fig3_timeline.csv")
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _print_warnings(warnings)
     entry = ingest.timeline(records, args.machine)
     rows = ["date,rmax_flops,ratio_vs_previous"]
     for i, (date, rmax) in enumerate(entry.points):
@@ -199,7 +198,9 @@ def cmd_relativistic(args) -> int:
 
 def cmd_figure(args) -> int:
     fig_id = args.id  # upper-cased and checked by the parser
-    cs = report.build_figure(fig_id, data_path=args.data)
+    warnings: list[str] = []
+    cs = report.build_figure(fig_id, data_path=args.data, warnings=warnings)
+    _print_warnings(warnings)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"fig{fig_id}.csv"
@@ -212,6 +213,11 @@ def cmd_figure(args) -> int:
             report.emit_svg(cs, fh)
         print(str(svg_path))
     return 0
+
+
+def _print_warnings(warnings) -> None:
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
 
 
 def _write_lines(rows, out_path) -> None:

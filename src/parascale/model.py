@@ -195,4 +195,7 @@ def relativistic_speed(t: float, p: RelativisticParams) -> float:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     v = t * p.accel
-    return v / math.sqrt(1.0 + (v / p.limit_speed) ** 2)
+    ratio = v / p.limit_speed
+    if ratio > 1e154:  # ratio ** 2 would overflow; v / ratio is c/n there
+        return p.limit_speed
+    return v / math.sqrt(1.0 + ratio ** 2)

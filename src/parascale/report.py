@@ -18,6 +18,7 @@ Figure ids used by the command line:
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -332,15 +333,14 @@ def emit_csv(cs: CurveSet, sink: IO[str]) -> None:
 
     Values use the shortest representation that parses back to the same
     float, so the output is lossless and measured inputs appear verbatim.
+    Names are quoted by the csv module's rules, once per series.
     """
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["series", "x", "y"])
-    for s in cs.series:
-        for x, y in s.points:
-            writer.writerow([s.name, repr(float(x)), repr(float(y))])
-    for ov in cs.overlays:
-        for x, y in ov.points:
-            writer.writerow([ov.name, repr(float(x)), repr(float(y))])
+    sink.write("series,x,y\n")
+    for s in (*cs.series, *cs.overlays):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([s.name, ""])
+        prefix = buf.getvalue()[:-1]  # "<quoted name>,"
+        sink.write("".join([f"{prefix}{float(x)!r},{float(y)!r}\n" for x, y in s.points]))
 
 
 def emit_svg(cs: CurveSet, sink: IO[str]) -> None:
@@ -348,27 +348,29 @@ def emit_svg(cs: CurveSet, sink: IO[str]) -> None:
     sink.write(render_svg(cs))
 
 
-def build_figure(fig_id: str, data_path: str | None = None) -> CurveSet:
+def build_figure(fig_id: str, data_path: str | None = None,
+                 warnings: list[str] | None = None) -> CurveSet:
     """Build one of the named figures, from bundled data unless overridden.
 
     ``data_path`` replaces the measurement dataset for figures 1, 3 and 4
     (it is ignored by 5 and the 6-panels, which are pure model output).
+    The parse warnings of that dataset are appended to ``warnings``.
     """
     fig_id = fig_id.upper()
     if fig_id not in FIGURE_IDS:
         raise ValueError(
             f"unknown figure id {fig_id!r}; valid ids: {', '.join(FIGURE_IDS)}")
-    if fig_id == "1":
-        records, _ = ingest.load_records(data_path, "fig4_points.csv")
-        joined = ingest.join_meta(records, ingest.load_bundled_meta())
-        return fig1_surface(measured=ingest.derive(joined))
-    if fig_id == "3":
-        records, _ = ingest.load_records(data_path, "fig3_timeline.csv")
-        return fig3_timeline(records)
-    if fig_id == "4":
-        records, _ = ingest.load_records(data_path, "fig4_points.csv")
-        return fig4_curves(measured=records)
     if fig_id == "5":
         return fig5_curves()
-    return fig6_panel({"6A": "HPL", "6B": "HPCG", "6C": "NN"}[fig_id])
-
+    if fig_id.startswith("6"):
+        return fig6_panel({"6A": "HPL", "6B": "HPCG", "6C": "NN"}[fig_id])
+    records, found = ingest.load_records(
+        data_path, "fig3_timeline.csv" if fig_id == "3" else "fig4_points.csv")
+    if warnings is not None:
+        warnings.extend(found)
+    if fig_id == "3":
+        return fig3_timeline(records)
+    if fig_id == "4":
+        return fig4_curves(measured=records)
+    joined = ingest.join_meta(records, ingest.load_bundled_meta())
+    return fig1_surface(measured=ingest.derive(joined))

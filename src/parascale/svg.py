@@ -1,7 +1,9 @@
 """Minimal deterministic SVG renderer for curve sets; no dependencies.
 
 Output is a standalone SVG 1.1 document and is a pure function of the input:
-identical curve sets render to byte-identical files.
+identical curve sets render to byte-identical files.  A heat map embeds its
+grid as one ``<image>``: an 8-bit RGB PNG with one pixel per cell, built
+with the standard library and drawn with nearest-neighbour scaling.
 """
 
 from __future__ import annotations
@@ -192,26 +194,44 @@ def _render_lines(cs, out, x_px, y_px, plot_l, plot_r, plot_t, plot_b) -> None:
         ly += 17
 
 
-def _colormap(t: float) -> str:
+def _rgb(t: float) -> tuple[int, int, int]:
     """Three-stop gradient dark blue -> teal -> yellow, t in [0, 1]."""
     stops = ((13, 8, 92), (0, 140, 140), (255, 230, 51))
-    t = min(max(t, 0.0), 1.0)
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
     if t <= 0.5:
-        a, b, u = stops[0], stops[1], t * 2.0
+        (r0, g0, b0), (r1, g1, b1), u = stops[0], stops[1], t * 2.0
     else:
-        a, b, u = stops[1], stops[2], (t - 0.5) * 2.0
-    rgb = tuple(round(ca + (cb - ca) * u) for ca, cb in zip(a, b))
-    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+        (r0, g0, b0), (r1, g1, b1), u = stops[1], stops[2], (t - 0.5) * 2.0
+    return (round(r0 + (r1 - r0) * u), round(g0 + (g1 - g0) * u),
+            round(b0 + (b1 - b0) * u))
 
 
-def _cell_edges(centers: list[float]) -> list[float]:
-    """Cell boundaries at log-space midpoints, extended half a step outward."""
-    logs = [math.log10(c) for c in centers]
-    edges = [logs[0] - (logs[1] - logs[0]) / 2.0]
-    for a, b in zip(logs, logs[1:]):
-        edges.append((a + b) / 2.0)
-    edges.append(logs[-1] + (logs[-1] - logs[-2]) / 2.0)
-    return [10.0 ** e for e in edges]
+def _colormap(t: float) -> str:
+    """The :func:`_rgb` colour as a ``#rrggbb`` fill."""
+    return "#%02x%02x%02x" % _rgb(t)
+
+
+def _png_href(rows: list[bytes], width: int) -> str:
+    """``data:`` URI of an 8-bit RGB PNG from top-to-bottom packed RGB rows."""
+    import binascii
+    import struct
+    import zlib
+
+    def chunk(tag: bytes, data: bytes) -> bytes:
+        return (struct.pack(">I", len(data)) + tag + data
+                + struct.pack(">I", binascii.crc32(tag + data)))
+
+    header = struct.pack(">IIBBBBB", width, len(rows), 8, 2, 0, 0, 0)
+    scanlines = b"".join(b"\x00" + row for row in rows)  # filter type 0: none
+    png = (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header)
+           + chunk(b"IDAT", zlib.compress(scanlines, 9)) + chunk(b"IEND", b""))
+    return "data:image/png;base64," + binascii.b2a_base64(png, newline=False).decode()
+
+
+def _outer_edges(centers: list[float]) -> tuple[float, float]:
+    """Outer cell boundaries, half a log-space step beyond the end centres."""
+    a, b, y, z = (math.log10(c) for c in centers[:2] + centers[-2:])
+    return 10.0 ** (a - (b - a) / 2.0), 10.0 ** (z + (z - y) / 2.0)
 
 
 def _render_heatmap(cs, out, x_px, y_px, plot_l, plot_r, plot_t, plot_b) -> None:
@@ -224,19 +244,18 @@ def _render_heatmap(cs, out, x_px, y_px, plot_l, plot_r, plot_t, plot_b) -> None
     vmax = math.log10(max(values))
     span = (vmax - vmin) or 1.0
 
-    x_edges = _cell_edges(xs)
-    y_edges = _cell_edges([s.level for s in rows])
-    for ri, s in enumerate(rows):
-        y0 = y_px(min(y_edges[ri + 1], cs.y_axis.max))
-        y1 = y_px(max(y_edges[ri], cs.y_axis.min))
-        h = y1 - y0
-        for ci, (_, v) in enumerate(s.points):
-            x0 = x_px(max(x_edges[ci], cs.x_axis.min))
-            x1 = x_px(min(x_edges[ci + 1], cs.x_axis.max))
-            t = (math.log10(v) - vmin) / span
-            out.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
-                       f'width="{_fmt(x1 - x0)}" height="{_fmt(h)}" '
-                       f'fill="{_colormap(t)}"/>')
+    # One pixel per cell, stretched over the outer cell edges and clipped to
+    # the plot; the grid is log-uniform, so the cells keep their geometry.
+    pixels = [b"".join(bytes(_rgb((math.log10(v) - vmin) / span)) for _, v in s.points)
+              for s in reversed(rows)]
+    x_lo, x_hi = _outer_edges(xs)
+    y_lo, y_hi = _outer_edges([s.level for s in rows])
+    x0, x1, y0, y1 = x_px(x_lo), x_px(x_hi), y_px(y_hi), y_px(y_lo)
+    out.append(f'<image xmlns:xlink="http://www.w3.org/1999/xlink" '
+               f'x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
+               f'height="{_fmt(y1 - y0)}" preserveAspectRatio="none" '
+               f'image-rendering="optimizeSpeed" clip-path="url(#plot)" '
+               f'xlink:href="{_png_href(pixels, len(xs))}"/>')
 
     # Overlay markers: measured (N, value) pairs are placed at the level the
     # model attributes to them, solved from value = 1/(1 + (N-1)*level).

@@ -1,6 +1,10 @@
 """Command-line behavior: subcommands, exit codes, units, determinism."""
 
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +13,8 @@ from parascale import cli
 from parascale.contributions import DEFAULT_MACHINE, peak_point, preset
 from parascale.units import format_flops, parse_flops
 
-REPO_DATA = Path(__file__).resolve().parent.parent / "src" / "parascale" / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+REPO_DATA = SRC / "parascale" / "data"
 
 
 def run(capsys, *argv):
@@ -224,6 +229,14 @@ class TestRelativistic:
         rc, _, _ = run(capsys, "relativistic", "--t", "1", "--n", "0.5")
         assert rc == 1
 
+    def test_huge_time_saturates(self, capsys):
+        # (t*a)^2 overflows a float; the answer is the limit, not a traceback
+        rc, out, err = run(capsys, "relativistic", "--t", "1e300")
+        assert (rc, err) == (0, "")  # no traceback, no warning
+        values = [float(v) for v in re.findall(r"= (\S+) m/s", out)]
+        assert len(values) == 3 and all(math.isfinite(v) for v in values)
+        assert values[1] == values[2] == 299792458.0
+
 
 class TestFigure:
     def test_writes_csv(self, capsys, tmp_path):
@@ -248,11 +261,42 @@ class TestFigure:
         text = (tmp_path / "fig3.csv").read_text()
         assert "Summit,2019.0,148.6" in text
 
+    def test_data_parse_warnings_reach_stderr(self, capsys, tmp_path):
+        clean = REPO_DATA / "fig3_timeline.csv"
+        planted = tmp_path / "planted.csv"
+        planted.write_text(clean.read_text(encoding="utf-8")
+                           + "Planted,2018.0,HPL,1.0,2.0,\n", encoding="utf-8")
+        csv_path = tmp_path / "fig3.csv"
+        rc, out, err = run(capsys, "figure", "3", "--data", str(clean),
+                           "--out", str(tmp_path))
+        assert (rc, err) == (0, "")
+        clean_bytes = csv_path.read_bytes()
+        rc, out_planted, err = run(capsys, "figure", "3", "--data", str(planted),
+                                   "--out", str(tmp_path))
+        assert rc == 0
+        assert err.startswith("warning: line ") and err.count("\n") == 1
+        assert "'Planted'" in err and "exceeds r_peak" in err
+        # stdout and the figure are those of the file without the rejected row
+        assert out_planted == out
+        assert csv_path.read_bytes() == clean_bytes
+
     def test_unknown_id_lists_valid_ids(self, capsys):
         rc, _, err = run(capsys, "figure", "9")
         assert rc == 1
         for fig_id in ("1", "3", "4", "5", "6A", "6B", "6C"):
             assert fig_id in err
+
+
+class TestStartup:
+    def test_import_loads_no_png_modules(self):
+        # the heat map's PNG encoder imports these lazily; start-up pays nothing
+        code = ("import sys, parascale.cli; "
+                "print(sorted({'struct', 'binascii', 'base64'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestHelp:

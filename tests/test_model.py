@@ -148,6 +148,14 @@ class TestSpeeds:
         with pytest.raises(ValueError):
             relativistic_speed(-1.0, RelativisticParams())
 
+    @pytest.mark.parametrize("t,accel", [(1e300, 9.81), (1e300, 1e300),
+                                         (1.4e154 * LIGHT_SPEED, 1.0)])
+    def test_huge_argument_is_the_limit(self, t, accel):
+        # (t*a / (c/n))^2 overflows a float here; the speed is c/n
+        for density in (1.0, 2.0):
+            p = RelativisticParams(accel=accel, density=density)
+            assert relativistic_speed(t, p) == p.limit_speed
+
 
 class TestValidation:
     def test_parallel_system_invariants(self):

@@ -1,15 +1,19 @@
 """Figure dataset construction, CSV/SVG emission and determinism."""
 
+import base64
 import csv
 import hashlib
 import io
 import json
 import math
+import struct
+import xml.etree.ElementTree as ET
+import zlib
 from pathlib import Path
 
 import pytest
 
-from parascale import ingest, report
+from parascale import ingest, report, svg
 from parascale.contributions import DEFAULT_MACHINE, peak_point, preset
 from parascale.model import LIGHT_SPEED, efficiency_from_nonparallel
 from parascale.report import (AxisSpec, CurveSet, Overlay, Series, build_figure,
@@ -19,6 +23,9 @@ from parascale.report import (AxisSpec, CurveSet, Overlay, Series, build_figure,
 
 FIGURE_CSV_SHA256 = (Path(__file__).resolve().parent.parent / "bench"
                      / "figure_csv_sha256.json")
+FIGURE_SVG_SHA256 = Path(__file__).resolve().parent / "figure_svg_sha256.json"
+SVG_NS = "{http://www.w3.org/2000/svg}"
+XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
 
 
 def csv_rows(cs):
@@ -67,6 +74,100 @@ class TestSurface:
         for ov in cs.overlays:
             for n, eff in ov.points:
                 assert n >= 2 and 0 < eff <= 1
+
+
+def decode_png(data):
+    """(width, height, bit depth, colour type, rows of (r, g, b)) of an
+    unfiltered, non-interlaced PNG."""
+    assert data[:8] == b"\x89PNG\r\n\x1a\n"
+    pos, header, idat = 8, None, b""
+    while pos < len(data):
+        length, tag = struct.unpack(">I4s", data[pos:pos + 8])
+        body = data[pos + 8:pos + 8 + length]
+        (crc,) = struct.unpack(">I", data[pos + 8 + length:pos + 12 + length])
+        assert crc == zlib.crc32(tag + body), tag
+        if tag == b"IHDR":
+            header = struct.unpack(">IIBBBBB", body)
+        elif tag == b"IDAT":
+            idat += body
+        pos += 12 + length
+    width, height, depth, color, _, _, interlace = header
+    assert interlace == 0
+    raw = zlib.decompress(idat)
+    stride = 1 + 3 * width
+    assert len(raw) == height * stride
+    rows = []
+    for r in range(height):
+        line = raw[r * stride:(r + 1) * stride]
+        assert line[0] == 0  # filter type none
+        rows.append([tuple(line[1 + 3 * c:4 + 3 * c]) for c in range(width)])
+    return width, height, depth, color, rows
+
+
+def ramp(t):
+    """The heat map's colour ramp: dark blue -> teal -> yellow over [0, 1]."""
+    stops = ((13, 8, 92), (0, 140, 140), (255, 230, 51))
+    t = min(max(t, 0.0), 1.0)
+    lo, hi, u = ((stops[0], stops[1], t * 2.0) if t <= 0.5
+                 else (stops[1], stops[2], (t - 0.5) * 2.0))
+    return tuple(round(a + (b - a) * u) for a, b in zip(lo, hi))
+
+
+class TestHeatmapImage:
+    @pytest.fixture(scope="class")
+    def rendered(self):
+        cs = build_figure("1")
+        sink = io.StringIO()
+        emit_svg(cs, sink)
+        return cs, sink.getvalue()
+
+    def test_one_image_in_a_small_stable_document(self, rendered):
+        cs, text = rendered
+        assert len(text.encode("utf-8")) <= 250_000
+        sink = io.StringIO()
+        emit_svg(cs, sink)
+        assert sink.getvalue() == text
+        root = ET.fromstring(text)  # well-formed
+        assert len(list(root.iter(SVG_NS + "image"))) == 1
+        assert sum(1 for _ in root.iter()) < 100
+
+    def test_pixels_follow_the_colour_ramp(self, rendered):
+        cs, text = rendered
+        image = next(ET.fromstring(text).iter(SVG_NS + "image"))
+        prefix = "data:image/png;base64,"
+        href = image.get(XLINK_HREF)
+        assert href.startswith(prefix)
+        width, height, depth, color, rows = decode_png(
+            base64.b64decode(href[len(prefix):], validate=True))
+        assert (width, height, depth, color) == (512, 64, 8, 2)
+        values = [v for s in cs.series for _, v in s.points]
+        vmin, vmax = math.log10(min(values)), math.log10(max(values))
+        # top image row is the highest serial fraction
+        by_level = sorted(cs.series, key=lambda s: s.level, reverse=True)
+        for pixel_row, s in zip(rows, by_level):
+            expected = [ramp((math.log10(v) - vmin) / (vmax - vmin))
+                        for _, v in s.points]
+            assert pixel_row == expected
+
+    def test_image_spans_the_outer_cell_edges(self, rendered):
+        cs, text = rendered
+        image = next(ET.fromstring(text).iter(SVG_NS + "image"))
+
+        def outer_px(centers, spec, lo_px, hi_px):
+            logs = [math.log10(c) for c in centers]
+            a, b = math.log10(spec.min), math.log10(spec.max)
+            edges = (logs[0] - (logs[1] - logs[0]) / 2,
+                     logs[-1] + (logs[-1] - logs[-2]) / 2)
+            return [lo_px + (e - a) / (b - a) * (hi_px - lo_px) for e in edges]
+
+        x0, x1 = outer_px([x for x, _ in cs.series[0].points], cs.x_axis,
+                          svg.MARGIN_LEFT, svg.WIDTH - svg.MARGIN_RIGHT)
+        y_lo, y_hi = outer_px(sorted(s.level for s in cs.series), cs.y_axis,
+                              svg.HEIGHT - svg.MARGIN_BOTTOM, svg.MARGIN_TOP)
+        got = [float(image.get(k)) for k in ("x", "y", "width", "height")]
+        assert got == pytest.approx([x0, y_hi, x1 - x0, y_lo - y_hi], abs=0.01)
+        assert image.get("preserveAspectRatio") == "none"
+        assert image.get("clip-path") == "url(#plot)"
 
 
 class TestTimelineFigure:
@@ -234,6 +335,24 @@ class TestEmission:
         emit_svg(fig1_surface(grid_density=(16, 8)), sink)
         assert "<rect" in sink.getvalue()
 
+    def test_names_quoted_as_csv_writer_quotes_them(self):
+        ax = AxisSpec("x", "", "linear", 0.0, 1.0)
+        names = ("a,b", 'say "hi"', "two\nlines", "", "plain")
+        cs = CurveSet("t", ax, ax,
+                      series=tuple(Series(n, ((0.5, 0.25), (1, 2))) for n in names),
+                      overlays=tuple(Overlay(n, ((0.1, 1e-300),)) for n in names))
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["series", "x", "y"])
+        for s in cs.series + cs.overlays:
+            for x, y in s.points:
+                writer.writerow([s.name, repr(float(x)), repr(float(y))])
+        sink = io.StringIO()
+        emit_csv(cs, sink)
+        assert sink.getvalue() == reference.getvalue()
+        read_back = [row[0] for row in csv.reader(io.StringIO(sink.getvalue()))]
+        assert read_back[1::2][:len(names)] == list(names)
+
     def test_csv_round_trips_losslessly(self):
         for name, x, y in csv_rows(fig6_panel("NN"))[:50]:
             assert float(repr(x)) == x and float(repr(y)) == y
@@ -276,6 +395,27 @@ class TestBuildFigure:
         emit_csv(build_figure(fig_id), sink)
         digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
         assert digest == frozen[fig_id]
+
+    @pytest.mark.parametrize("fig_id", ("3", "4", "5", "6A", "6B", "6C"))
+    def test_svg_bytes_match_frozen_digests(self, fig_id):
+        # frozen digests of `parascale figure <id> --format svg`: the line
+        # figures share the renderer with the heat map and must not move
+        frozen = json.loads(FIGURE_SVG_SHA256.read_text(encoding="utf-8"))
+        sink = io.StringIO()
+        emit_svg(build_figure(fig_id), sink)
+        digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
+        assert digest == frozen[fig_id]
+
+    def test_data_parse_warnings_are_collected(self, tmp_path):
+        clean = ingest.bundled_path("fig3_timeline.csv").read_text(encoding="utf-8")
+        planted = tmp_path / "planted.csv"
+        planted.write_text(clean + "Planted,2018.0,HPL,1.0,2.0,\n", encoding="utf-8")
+        warnings = []
+        cs = build_figure("3", data_path=str(planted), warnings=warnings)
+        assert len(warnings) == 1 and "'Planted'" in warnings[0]
+        assert cs == build_figure("3")
+        assert build_figure("5", data_path=str(planted), warnings=warnings)
+        assert len(warnings) == 1  # figure 5 reads no measurements
 
     def test_figure1_has_measured_overlays(self):
         cs = build_figure("1")
