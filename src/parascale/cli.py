@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import ingest, report
-from .contributions import (DEFAULT_MACHINE, ModelDomainError, peak_point,
-                            preset, preset_names, rmax_of_rpeak,
-                            with_overrides)
+from .contributions import (DEFAULT_MACHINE, AlphaDecomposition, MachineModel,
+                            ModelDomainError, peak_point, preset, preset_names,
+                            rmax_of_rpeak)
 from .model import (ParallelSystem, PerformancePoint, RelativisticParams,
                     alpha_from_measurement, classic_speed, classic_total_perf,
                     modern_total_perf, relativistic_speed)
@@ -33,15 +34,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_DECOMP_KEYS = ("alpha_sw", "ctx_switch_clocks", "total_clocks",
-                "loop_clocks_per_pu", "bio_factor")
-_MACHINE_KEYS = ("perf_per_pu",)
-
-
 def _parse_overrides(pairs):
     """Validate key=value model overrides before any dispatch."""
     decomp: dict[str, float] = {}
     machine: dict[str, float] = {}
+    # each dataclass field is a key; it maps to the dict its value goes to
+    targets = {f.name: decomp for f in fields(AlphaDecomposition)}
+    targets.update({f.name: machine for f in fields(MachineModel)})
     for pair in pairs or ():
         if "=" not in pair:
             raise UsageError(f"override must be key=value, got {pair!r}")
@@ -51,22 +50,17 @@ def _parse_overrides(pairs):
             num = float(value)
         except ValueError:
             raise UsageError(f"override {key}: not a number: {value!r}") from None
-        if key in _DECOMP_KEYS:
-            decomp[key] = num
-        elif key in _MACHINE_KEYS:
-            machine[key] = num
-        else:
+        if key not in targets:
             raise UsageError(
-                f"unknown override key {key!r}; valid keys: "
-                f"{', '.join(_DECOMP_KEYS + _MACHINE_KEYS)}")
+                f"unknown override key {key!r}; valid keys: {', '.join(targets)}")
+        targets[key][key] = num
     return decomp, machine
 
 
 def _preset_setup(args):
-    p = preset(args.preset)
     decomp_over, machine_over = _parse_overrides(args.override)
-    d = with_overrides(p.decomposition, **decomp_over) if decomp_over else p.decomposition
-    return d, replace(DEFAULT_MACHINE, **machine_over)
+    return (replace(preset(args.preset).decomposition, **decomp_over),
+            replace(DEFAULT_MACHINE, **machine_over))
 
 
 def _finite_float(text: str) -> float:
@@ -99,15 +93,17 @@ def cmd_predict(args) -> int:
             raise UsageError("predict --preset needs --rpeak")
         d, m = _preset_setup(args)
         point = rmax_of_rpeak(_flops(args.rpeak, "--rpeak"), m, d)
-        if d.slope > 0:
+        try:
             peak = peak_point(m, d)
-            if point.r_peak > peak.r_peak_star:
-                print(
-                    f"warning: operating point is past the payload peak "
-                    f"(N* = {peak.n_star:.6g}, r_peak* = "
-                    f"{format_flops(peak.r_peak_star, args.unit)}, r_max* = "
-                    f"{format_flops(peak.r_max_star, args.unit)}); adding "
-                    f"PUs reduces delivered performance", file=sys.stderr)
+        except ValueError:  # no interior maximum, so no peak to be past
+            peak = None
+        if peak is not None and point.r_peak > peak.r_peak_star:
+            print(
+                f"warning: operating point is past the payload peak "
+                f"(N* = {peak.n_star:.6g}, r_peak* = "
+                f"{format_flops(peak.r_peak_star, args.unit)}, r_max* = "
+                f"{format_flops(peak.r_max_star, args.unit)}); adding "
+                f"PUs reduces delivered performance", file=sys.stderr)
         _print_point(point, args.unit)
         return 0
     if args.n is None or args.p is None or args.alpha is None:
@@ -145,12 +141,12 @@ def cmd_sweep(args) -> int:
         raise UsageError("need perf_per_pu <= --rpeak-min < --rpeak-max")
     if args.points < 2:
         raise UsageError("--points must be >= 2")
-    rows = ["rpeak_flops,rmax_flops,efficiency"]
-    for i in range(args.points):
-        r_peak = lo * (hi / lo) ** (i / (args.points - 1))
-        point = rmax_of_rpeak(r_peak, m, d)
-        rows.append(f"{point.r_peak!r},{point.r_max!r},{point.efficiency!r}")
-    _write_lines(rows, args.out)
+    # every point is computed before any output, so a model error leaves none
+    points = [rmax_of_rpeak(r_peak, m, d)
+              for r_peak in report.logspace(lo, hi, args.points)]
+    with _output(args.out) as sink:
+        sink.write("rpeak_flops,rmax_flops,efficiency\n")
+        sink.writelines(f"{p.r_peak!r},{p.r_max!r},{p.efficiency!r}\n" for p in points)
     return 0
 
 
@@ -166,7 +162,8 @@ def cmd_surface(args) -> int:
         nonparallel_range=(args.npar_min, args.npar_max),
         grid_density=(args.points, args.rows),
     )
-    _emit(cs, args.out)
+    with _output(args.out) as sink:
+        report.emit_csv(cs, sink)
     return 0
 
 
@@ -174,11 +171,11 @@ def cmd_timeline(args) -> int:
     records, warnings = ingest.load_records(args.data, "fig3_timeline.csv")
     _print_warnings(warnings)
     entry = ingest.timeline(records, args.machine)
-    rows = ["date,rmax_flops,ratio_vs_previous"]
-    for i, (date, rmax) in enumerate(entry.points):
-        ratio = "" if i == 0 else repr(entry.ratios[i - 1])
-        rows.append(f"{date!r},{rmax!r},{ratio}")
-    _write_lines(rows, args.out)
+    with _output(args.out) as sink:
+        sink.write("date,rmax_flops,ratio_vs_previous\n")
+        for i, (date, rmax) in enumerate(entry.points):
+            ratio = "" if i == 0 else repr(entry.ratios[i - 1])
+            sink.write(f"{date!r},{rmax!r},{ratio}\n")
     return 0
 
 
@@ -203,15 +200,14 @@ def cmd_figure(args) -> int:
     _print_warnings(warnings)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"fig{fig_id}.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        report.emit_csv(cs, fh)
-    print(str(csv_path))
+    emitters = [("csv", report.emit_csv)]
     if args.format == "svg":
-        svg_path = out_dir / f"fig{fig_id}.svg"
-        with open(svg_path, "w", encoding="utf-8", newline="") as fh:
-            report.emit_svg(cs, fh)
-        print(str(svg_path))
+        emitters.append(("svg", report.emit_svg))
+    for ext, emit in emitters:
+        path = out_dir / f"fig{fig_id}.{ext}"
+        with _output(path) as sink:
+            emit(cs, sink)
+        print(str(path))
     return 0
 
 
@@ -220,20 +216,14 @@ def _print_warnings(warnings) -> None:
         print(f"warning: {w}", file=sys.stderr)
 
 
-def _write_lines(rows, out_path) -> None:
-    text = "\n".join(rows) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text, encoding="utf-8")
-
-
-def _emit(cs, out_path) -> None:
-    if out_path is None:
-        report.emit_csv(cs, sys.stdout)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            report.emit_csv(cs, fh)
+@contextmanager
+def _output(path):
+    """Text sink for ``path``, or stdout when ``path`` is None."""
+    if path is None:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def build_parser() -> _Parser:

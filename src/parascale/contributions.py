@@ -22,7 +22,7 @@ maximum: past it, adding processors reduces delivered performance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import PerformancePoint, efficiency_from_nonparallel, require_finite
 
@@ -122,11 +122,6 @@ def preset(name: str) -> BenchmarkPreset:
             f"{', '.join(_PRESETS)}") from None
 
 
-def with_overrides(d: AlphaDecomposition, **changes: float) -> AlphaDecomposition:
-    """Return a copy of the decomposition with selected constants replaced."""
-    return replace(d, **changes)
-
-
 def alpha_os(n_proc: float, d: AlphaDecomposition) -> float:
     """System-side serial fraction: context switching plus per-PU looping."""
     return (d.ctx_switch_clocks / d.total_clocks
@@ -216,10 +211,15 @@ def analytic_peak_n(d: AlphaDecomposition) -> float:
     N / (1 + (N-1)*(a + b*N)) is Gunther's Universal Scalability Law, and
     N* is its peak.  It is an interior maximum only when 0 < b < 1 - a,
     i.e. N* > 1; otherwise the curve saturates without turning over (b = 0)
-    or the model is invalid from N = 1 on, and ValueError is raised.
+    or the model is invalid from N = 1 on, and ValueError is raised.  So is
+    a slope too small for N* to be a finite float.
     """
     if not 0.0 < d.slope < 1.0 - d.constant_part:
         raise ValueError(
             f"no interior maximum: need 0 < slope < 1 - constant_part, got "
             f"slope {d.slope:.6g}, constant_part {d.constant_part:.6g}")
-    return math.sqrt((1.0 - d.constant_part) / d.slope)
+    n_star = math.sqrt((1.0 - d.constant_part) / d.slope)
+    if not math.isfinite(n_star):
+        raise ValueError(f"no finite interior maximum: slope {d.slope:.6g} "
+                         f"puts N* beyond the float range")
+    return n_star

@@ -287,7 +287,9 @@ def join_meta(records: Iterable[MachineRecord],
     """Fill missing cores / r_peak from the metadata table, by machine name.
 
     Values already present in a record are never overwritten; the metadata
-    is a single-edition snapshot and the measurement wins.
+    is a single-edition snapshot and the measurement wins.  A record whose
+    r_max exceeds the r_peak filled in from ``machines_meta.csv`` raises
+    :class:`PayloadExceedsPeak` naming the machine.
     """
     out: list[MachineRecord] = []
     for r in records:
@@ -295,14 +297,18 @@ def join_meta(records: Iterable[MachineRecord],
         if m is None:
             out.append(r)
             continue
-        out.append(MachineRecord(
-            machine=r.machine,
-            date=r.date,
-            benchmark=r.benchmark,
-            r_peak=r.r_peak if r.r_peak is not None else m["rpeak_flops"],
-            r_max=r.r_max,
-            cores=r.cores if r.cores is not None else int(m["cores"]),
-        ))
+        try:
+            out.append(MachineRecord(
+                machine=r.machine,
+                date=r.date,
+                benchmark=r.benchmark,
+                r_peak=r.r_peak if r.r_peak is not None else m["rpeak_flops"],
+                r_max=r.r_max,
+                cores=r.cores if r.cores is not None else int(m["cores"]),
+            ))
+        except PayloadExceedsPeak as exc:
+            raise PayloadExceedsPeak(
+                f"{r.machine}: {exc} (r_peak from machines_meta.csv)") from None
     return out
 
 

@@ -160,14 +160,18 @@ def alpha_from_measurement(n_proc: float, eff: float) -> float:
     Solves eff = 1 / (1 + (N-1)*x) for x, i.e. returns (1/eff - 1) / (N - 1).
     The returned value is the non-parallelizable fraction; the parallel
     fraction itself is 1 minus the result.  A measurement with eff < 1/N is
-    inconsistent with any alpha in [0, 1] and yields a value above 1.
+    inconsistent with any alpha in [0, 1] and yields a value above 1.  An
+    efficiency so small that the result overflows raises ValueError.
     """
     if n_proc < 2:
         raise ValueError(
             f"inversion degenerate: need n_proc >= 2, got {n_proc}")
     if not 0.0 < eff <= 1.0:
         raise ValueError(f"efficiency must be in (0, 1], got {eff}")
-    return (1.0 / eff - 1.0) / (n_proc - 1.0)
+    nonparallel = (1.0 / eff - 1.0) / (n_proc - 1.0)
+    if not math.isfinite(nonparallel):
+        raise ValueError(f"serial fraction overflows at efficiency {eff:.6g}")
+    return nonparallel
 
 
 def saturation_limit(perf_single: float, nonparallel: float) -> float:
@@ -180,10 +184,17 @@ def saturation_limit(perf_single: float, nonparallel: float) -> float:
 
 
 def classic_speed(t: float, accel: float) -> float:
-    """Speed of a uniformly accelerated body without correction: t * accel."""
+    """Speed of a uniformly accelerated body without correction: t * accel.
+
+    Raises ValueError when the product overflows to infinity.
+    """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return t * accel
+    v = t * accel
+    if not math.isfinite(v):
+        raise ValueError(f"classic speed t * accel overflows for t={t:.6g}, "
+                         f"accel={accel:.6g}")
+    return v
 
 
 def relativistic_speed(t: float, p: RelativisticParams) -> float:

@@ -20,12 +20,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from . import contributions, ingest
-from .contributions import (DEFAULT_MACHINE, AlphaDecomposition, MachineModel,
-                            alpha_os, alpha_total, preset)
+from . import ingest
+from .contributions import DEFAULT_MACHINE, alpha_os, alpha_total, preset
 from .model import RelativisticParams, efficiency_from_nonparallel, relativistic_speed
 from .svg import render_svg
 
@@ -76,19 +75,12 @@ class Series:
 
 
 @dataclass(frozen=True)
-class Overlay:
-    name: str
-    points: tuple[tuple[float, float], ...]
-    axis: str = "y"
-
-
-@dataclass(frozen=True)
 class CurveSet:
     title: str
     x_axis: AxisSpec
     y_axis: AxisSpec
     series: tuple[Series, ...]
-    overlays: tuple[Overlay, ...] = ()
+    overlays: tuple[Series, ...] = ()
     y2_axis: AxisSpec | None = None
     kind: str = "lines"  # "lines" | "heatmap"
 
@@ -106,15 +98,25 @@ class CurveSet:
                 raise ValueError(f"series {s.name!r} has y <= 0 on a log axis")
 
 
-def _logspace(lo: float, hi: float, n: int) -> list[float]:
+def logspace(lo: float, hi: float, n: int) -> list[float]:
+    """``n`` log-uniform samples from ``lo`` to ``hi``, both ends exact."""
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
     if n < 2:
         raise ValueError("need at least 2 samples")
     a, b = math.log10(lo), math.log10(hi)
-    # endpoints pinned exactly so stated range bounds appear in the output
     return [lo] + [10.0 ** (a + (b - a) * i / (n - 1))
                    for i in range(1, n - 1)] + [hi]
+
+
+def _by_benchmark(pairs: Iterable[tuple[str, tuple[float, float]]]
+                  ) -> list[Series]:
+    """One ``<benchmark> measured`` overlay per benchmark, sorted by name."""
+    groups: dict[str, list[tuple[float, float]]] = {}
+    for bench, point in pairs:
+        groups.setdefault(bench, []).append(point)
+    return [Series(name=f"{bench} measured", points=tuple(pts))
+            for bench, pts in sorted(groups.items())]
 
 
 def _log_bounds(default_lo: float, default_hi: float,
@@ -146,31 +148,22 @@ def fig1_surface(n_range: tuple[float, float] = (1.0, 1e8),
         raise ValueError(f"serial-fraction range must be within (0, 1], "
                          f"got [{b_lo}, {b_hi}]")
     n_samples, rows = grid_density
-    ns = _logspace(n_lo, n_hi, n_samples)
+    ns = logspace(n_lo, n_hi, n_samples)
     series = []
-    for beta in _logspace(b_lo, b_hi, rows):
+    for beta in logspace(b_lo, b_hi, rows):
         pts = tuple((n, efficiency_from_nonparallel(n, beta)) for n in ns)
         series.append(Series(name=f"nonparallel={beta:.6g}", points=pts, level=beta))
-    overlays = _efficiency_overlays(measured)
+    overlays = _by_benchmark(
+        (d.record.benchmark, (float(d.record.cores), d.efficiency))
+        for d in measured if d.efficiency is not None and d.record.cores is not None)
     return CurveSet(
         title="Parallelization efficiency over PU count and serial fraction",
         x_axis=AxisSpec("processing units", "count", "log10", n_lo, n_hi),
         y_axis=AxisSpec("serial fraction (1-alpha)", "", "log10", b_lo, b_hi),
         series=tuple(series),
-        overlays=overlays,
+        overlays=tuple(overlays),
         kind="heatmap",
     )
-
-
-def _efficiency_overlays(measured: Sequence[ingest.DerivedRecord]) -> tuple[Overlay, ...]:
-    by_bench: dict[str, list[tuple[float, float]]] = {}
-    for d in measured:
-        if d.efficiency is None or d.record.cores is None:
-            continue
-        by_bench.setdefault(d.record.benchmark, []).append(
-            (float(d.record.cores), d.efficiency))
-    return tuple(Overlay(name=f"{bench} measured", points=tuple(pts))
-                 for bench, pts in sorted(by_bench.items()))
 
 
 def fig3_timeline(records: Sequence[ingest.MachineRecord]) -> CurveSet:
@@ -202,45 +195,35 @@ def taihulight_perf_per_pu() -> float:
 
 
 def fig4_curves(nonparallel_values: Sequence[float] = FIG4_NONPARALLEL,
-                perf_per_pu: float | None = None,
                 rpeak_range: tuple[float, float] = (1e12, 5e17),
                 measured: Sequence[ingest.MachineRecord] = (),
-                include_neural_point: bool = True,
                 ) -> CurveSet:
     """Payload vs nominal performance lines at constant serial fractions.
 
-    The default per-PU performance comes from the Taihulight metadata join
-    (about 11.78 Gflop/s), so the measured Taihulight points fall on their
-    own model lines.  Axes are in exaflop/s like the measured data.
+    The per-PU performance comes from the Taihulight metadata join (about
+    11.78 Gflop/s), so the measured Taihulight points fall on their own
+    model lines.  Axes are in exaflop/s like the measured data.
     """
     if any(v <= 0 for v in nonparallel_values):
         raise ValueError("serial fractions must be > 0")
     lo, hi = rpeak_range
     if not 0 < lo < hi:
         raise ValueError(f"invalid rpeak range [{lo}, {hi}]")
-    if perf_per_pu is None:
-        perf_per_pu = taihulight_perf_per_pu()
+    perf_per_pu = taihulight_perf_per_pu()
     series = []
     for beta in nonparallel_values:
         pts = []
-        for r_peak in _logspace(lo, hi, SAMPLES_PER_CURVE):
+        for r_peak in logspace(lo, hi, SAMPLES_PER_CURVE):
             n = max(r_peak / perf_per_pu, 1.0)
             eff = efficiency_from_nonparallel(n, beta)
             pts.append((r_peak / 1e18, r_peak * eff / 1e18))
         label = _FIG4_LABELS.get(beta, f"{beta:g}")
         series.append(Series(name=label, points=tuple(pts)))
 
-    overlays = []
-    by_bench: dict[str, list[tuple[float, float]]] = {}
-    for r in measured:
-        if r.r_peak is None or r.r_max is None:
-            continue
-        by_bench.setdefault(r.benchmark, []).append(
-            (r.r_peak / 1e18, r.r_max / 1e18))
-    for bench, pts in sorted(by_bench.items()):
-        overlays.append(Overlay(name=f"{bench} measured", points=tuple(pts)))
-    if include_neural_point:
-        overlays.append(Overlay(name="neural-sim", points=(NEURAL_SIM_POINT,)))
+    overlays = _by_benchmark(
+        (r.benchmark, (r.r_peak / 1e18, r.r_max / 1e18))
+        for r in measured if r.r_peak is not None and r.r_max is not None)
+    overlays.append(Series(name="neural-sim", points=(NEURAL_SIM_POINT,)))
 
     xs = [x for s in series for x, _ in s.points]
     ys = [y for s in series for _, y in s.points]
@@ -258,17 +241,15 @@ def fig4_curves(nonparallel_values: Sequence[float] = FIG4_NONPARALLEL,
     )
 
 
-def fig5_curves(t_range: tuple[float, float] = (86400.0, 1e9),
-                densities: Sequence[float] = (1.0, 2.0),
-                accel: float = 9.81) -> CurveSet:
-    """Speed of a constantly accelerated body for several optical densities."""
-    lo, hi = t_range
+def fig5_curves() -> CurveSet:
+    """Speed under g from one day to about 32 years, optical densities 1 and 2."""
+    lo, hi = 86400.0, 1e9
     series = []
     values = []
-    for n in densities:
-        params = RelativisticParams(accel=accel, density=n)
+    for n in (1.0, 2.0):
+        params = RelativisticParams(density=n)  # accel defaults to g
         pts = tuple((t, relativistic_speed(t, params))
-                    for t in _logspace(lo, hi, SAMPLES_PER_CURVE))
+                    for t in logspace(lo, hi, SAMPLES_PER_CURVE))
         values += [v for _, v in pts]
         series.append(Series(name=f"v(t), n={n:g}", points=pts))
     y_lo, y_hi = _log_bounds(1e6, 5e8, values)
@@ -281,8 +262,7 @@ def fig5_curves(t_range: tuple[float, float] = (86400.0, 1e9),
 
 
 def fig6_panel(preset_name: str,
-               rpeak_range: tuple[float, float] = (1e15, 1.1e18),
-               machine: MachineModel = DEFAULT_MACHINE) -> CurveSet:
+               rpeak_range: tuple[float, float] = (1e15, 1.1e18)) -> CurveSet:
     """Serial-fraction contributions (left axis) and payload curve (right).
 
     Series ``alpha_sw``, ``alpha_os`` and ``alpha_total`` are dimensionless
@@ -297,9 +277,9 @@ def fig6_panel(preset_name: str,
     alpha_os_pts = []
     alpha_total_pts = []
     rmax_pts = []
-    for r_peak in _logspace(lo, hi, SAMPLES_PER_CURVE):
+    for r_peak in logspace(lo, hi, SAMPLES_PER_CURVE):
         x = r_peak / 1e18
-        n = r_peak / machine.perf_per_pu
+        n = r_peak / DEFAULT_MACHINE.perf_per_pu
         total = alpha_total(n, d)
         alpha_sw_pts.append((x, d.alpha_sw))
         alpha_os_pts.append((x, alpha_os(n, d)))
@@ -311,8 +291,8 @@ def fig6_panel(preset_name: str,
     y2_lo, y2_hi = _log_bounds(1e-5, 1.0, [y for _, y in rmax_pts])
     overlays = ()
     if p.name in FIG6_MEASURED:
-        overlays = (Overlay(name=f"{p.name} measured",
-                            points=(FIG6_MEASURED[p.name],), axis="y2"),)
+        overlays = (Series(name=f"{p.name} measured",
+                           points=(FIG6_MEASURED[p.name],), axis="y2"),)
     return CurveSet(
         title=f"Serial-fraction contributions and payload performance ({p.name})",
         x_axis=AxisSpec("R_Peak", "Eflop/s", "log10", lo / 1e18, hi / 1e18),

@@ -18,6 +18,12 @@ MARGIN_RIGHT = 85
 MARGIN_TOP = 48
 MARGIN_BOTTOM = 64
 
+# Plot box in pixels: left, right, top, bottom edges.
+PLOT_L = MARGIN_LEFT
+PLOT_R = WIDTH - MARGIN_RIGHT
+PLOT_T = MARGIN_TOP
+PLOT_B = HEIGHT - MARGIN_BOTTOM
+
 PALETTE = [
     "#1f77b4",
     "#d62728",
@@ -83,11 +89,6 @@ def _axis_title(spec) -> str:
 
 def render_svg(cs) -> str:
     """Render a CurveSet (lines or heatmap kind) to an SVG document string."""
-    plot_l = MARGIN_LEFT
-    plot_r = WIDTH - MARGIN_RIGHT
-    plot_t = MARGIN_TOP
-    plot_b = HEIGHT - MARGIN_BOTTOM
-
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8" standalone="no"?>')
     out.append(
@@ -95,56 +96,56 @@ def render_svg(cs) -> str:
         f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
     out.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     out.append(
-        f'<clipPath id="plot"><rect x="{plot_l}" y="{plot_t}" '
-        f'width="{plot_r - plot_l}" height="{plot_b - plot_t}"/></clipPath>')
+        f'<clipPath id="plot"><rect x="{PLOT_L}" y="{PLOT_T}" '
+        f'width="{PLOT_R - PLOT_L}" height="{PLOT_B - PLOT_T}"/></clipPath>')
     out.append(
         f'<text x="{WIDTH / 2:.1f}" y="28" text-anchor="middle" '
         f'font-size="17" {_FONT}>{_escape(cs.title)}</text>')
 
-    x_px = _scale(cs.x_axis, plot_l, plot_r)
-    y_px = _scale(cs.y_axis, plot_b, plot_t)
+    x_px = _scale(cs.x_axis, PLOT_L, PLOT_R)
+    y_px = _scale(cs.y_axis, PLOT_B, PLOT_T)
 
     # Frame, x ticks and labels (shared by both kinds).
     for v in _ticks(cs.x_axis):
         if not cs.x_axis.min <= v <= cs.x_axis.max:
             continue
         px = x_px(v)
-        out.append(f'<line x1="{_fmt(px)}" y1="{plot_t}" x2="{_fmt(px)}" '
-                   f'y2="{plot_b}" stroke="#dddddd" stroke-width="1"/>')
-        out.append(f'<text x="{_fmt(px)}" y="{plot_b + 20}" text-anchor="middle" '
+        out.append(f'<line x1="{_fmt(px)}" y1="{PLOT_T}" x2="{_fmt(px)}" '
+                   f'y2="{PLOT_B}" stroke="#dddddd" stroke-width="1"/>')
+        out.append(f'<text x="{_fmt(px)}" y="{PLOT_B + 20}" text-anchor="middle" '
                    f'font-size="12" {_FONT}>{_tick_label(v)}</text>')
     for v in _ticks(cs.y_axis):
         if not cs.y_axis.min <= v <= cs.y_axis.max:
             continue
         py = y_px(v)
-        out.append(f'<line x1="{plot_l}" y1="{_fmt(py)}" x2="{plot_r}" '
+        out.append(f'<line x1="{PLOT_L}" y1="{_fmt(py)}" x2="{PLOT_R}" '
                    f'y2="{_fmt(py)}" stroke="#dddddd" stroke-width="1"/>')
-        out.append(f'<text x="{plot_l - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
+        out.append(f'<text x="{PLOT_L - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
                    f'font-size="12" {_FONT}>{_tick_label(v)}</text>')
 
     if cs.kind == "heatmap":
-        _render_heatmap(cs, out, x_px, y_px, plot_l, plot_r, plot_t, plot_b)
+        _render_heatmap(cs, out, x_px, y_px)
     else:
-        _render_lines(cs, out, x_px, y_px, plot_l, plot_r, plot_t, plot_b)
+        _render_lines(cs, out, x_px, y_px)
 
     # Frame on top of data.
-    out.append(f'<rect x="{plot_l}" y="{plot_t}" width="{plot_r - plot_l}" '
-               f'height="{plot_b - plot_t}" fill="none" stroke="#000000" '
+    out.append(f'<rect x="{PLOT_L}" y="{PLOT_T}" width="{PLOT_R - PLOT_L}" '
+               f'height="{PLOT_B - PLOT_T}" fill="none" stroke="#000000" '
                f'stroke-width="1.5"/>')
-    out.append(f'<text x="{(plot_l + plot_r) / 2:.1f}" y="{HEIGHT - 18}" '
+    out.append(f'<text x="{(PLOT_L + PLOT_R) / 2:.1f}" y="{HEIGHT - 18}" '
                f'text-anchor="middle" font-size="14" {_FONT}>'
                f'{_escape(_axis_title(cs.x_axis))}</text>')
-    mid_y = (plot_t + plot_b) / 2
+    mid_y = (PLOT_T + PLOT_B) / 2
     out.append(f'<text x="22" y="{mid_y:.1f}" text-anchor="middle" font-size="14" '
                f'{_FONT} transform="rotate(-90 22 {mid_y:.1f})">'
                f'{_escape(_axis_title(cs.y_axis))}</text>')
     if cs.y2_axis is not None:
-        y2_px = _scale(cs.y2_axis, plot_b, plot_t)
+        y2_px = _scale(cs.y2_axis, PLOT_B, PLOT_T)
         for v in _ticks(cs.y2_axis):
             if not cs.y2_axis.min <= v <= cs.y2_axis.max:
                 continue
             py = y2_px(v)
-            out.append(f'<text x="{plot_r + 8}" y="{_fmt(py + 4)}" '
+            out.append(f'<text x="{PLOT_R + 8}" y="{_fmt(py + 4)}" '
                        f'text-anchor="start" font-size="12" {_FONT}>'
                        f'{_tick_label(v)}</text>')
         out.append(f'<text x="{WIDTH - 16}" y="{mid_y:.1f}" text-anchor="middle" '
@@ -156,8 +157,8 @@ def render_svg(cs) -> str:
     return "\n".join(out) + "\n"
 
 
-def _render_lines(cs, out, x_px, y_px, plot_l, plot_r, plot_t, plot_b) -> None:
-    y2_px = _scale(cs.y2_axis, plot_b, plot_t) if cs.y2_axis is not None else None
+def _render_lines(cs, out, x_px, y_px) -> None:
+    y2_px = _scale(cs.y2_axis, PLOT_B, PLOT_T) if cs.y2_axis is not None else None
     color_i = 0
     legend: list[tuple[str, str, str]] = []  # (label, color, marker)
 
@@ -180,8 +181,8 @@ def _render_lines(cs, out, x_px, y_px, plot_l, plot_r, plot_t, plot_b) -> None:
                        f'clip-path="url(#plot)"/>')
         legend.append((ov.name, color, "dot"))
 
-    lx = plot_l + 12
-    ly = plot_t + 16
+    lx = PLOT_L + 12
+    ly = PLOT_T + 16
     for label, color, marker in legend:
         if marker == "line":
             out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
@@ -234,7 +235,7 @@ def _outer_edges(centers: list[float]) -> tuple[float, float]:
     return 10.0 ** (a - (b - a) / 2.0), 10.0 ** (z + (z - y) / 2.0)
 
 
-def _render_heatmap(cs, out, x_px, y_px, plot_l, plot_r, plot_t, plot_b) -> None:
+def _render_heatmap(cs, out, x_px, y_px) -> None:
     # Rows are series tagged with a `level` (the y coordinate); the point y
     # values are the mapped quantity.  Color scale is log10 of the value.
     rows = sorted(cs.series, key=lambda s: s.level)
@@ -257,7 +258,7 @@ def _render_heatmap(cs, out, x_px, y_px, plot_l, plot_r, plot_t, plot_b) -> None
                f'image-rendering="optimizeSpeed" clip-path="url(#plot)" '
                f'xlink:href="{_png_href(pixels, len(xs))}"/>')
 
-    # Overlay markers: measured (N, value) pairs are placed at the level the
+    # Measured markers: (N, value) pairs are placed at the level the
     # model attributes to them, solved from value = 1/(1 + (N-1)*level).
     for ov in cs.overlays:
         for n, v in ov.points:
@@ -270,8 +271,8 @@ def _render_heatmap(cs, out, x_px, y_px, plot_l, plot_r, plot_t, plot_b) -> None
                        f'r="4" fill="#ffffff" stroke="#000000" stroke-width="1.2"/>')
 
     # Color bar with end labels.
-    bar_x = plot_r + 18
-    bar_t, bar_b = plot_t + 10, plot_b - 10
+    bar_x = PLOT_R + 18
+    bar_t, bar_b = PLOT_T + 10, PLOT_B - 10
     steps = 24
     for i in range(steps):
         t0 = i / steps

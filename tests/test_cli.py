@@ -1,20 +1,35 @@
 """Command-line behavior: subcommands, exit codes, units, determinism."""
 
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from parascale import cli
-from parascale.contributions import DEFAULT_MACHINE, peak_point, preset
+from parascale import cli, report
+from parascale.contributions import (DEFAULT_MACHINE, AlphaDecomposition,
+                                     MachineModel, peak_point, preset)
 from parascale.units import format_flops, parse_flops
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REPO_DATA = SRC / "parascale" / "data"
+
+# Finite options whose results once overflowed to inf: a slope so small that
+# N* = inf, an efficiency so small that 1/eff = inf, and t*a = inf.
+PREDICT_TINY_SLOPE = ["predict", "--preset", "NN", "--rpeak", "4.8621192886493096e+16",
+                      "--override", "loop_clocks_per_pu=1.6e-308"]
+INVERT_OVERFLOW = ["invert", "--n", "4.513758932198827e+252",
+                   "--rpeak", "5.0057508638918984e+16",
+                   "--rmax", "2.454219613359543e-299"]
+RELATIVISTIC_OVERFLOW = ["relativistic", "--t", "1e300", "--a", "1e300"]
 
 
 def run(capsys, *argv):
@@ -172,6 +187,22 @@ class TestSweep:
                        "--rpeak-min", "2E", "--rpeak-max", "1E")
         assert rc == 1
 
+    def test_model_error_writes_no_rows(self, capsys):
+        rc, out, err = run(capsys, "sweep", "--preset", "NN", "--rpeak-max", "500E")
+        assert (rc, out) == (2, "")
+        assert "outside model validity" in err
+
+    @pytest.mark.parametrize("name,fig_id", [("HPL", "6A"), ("HPCG", "6B"),
+                                             ("NN", "6C")])
+    def test_default_rows_are_figure_6_samples(self, capsys, name, fig_id):
+        rc, out, _ = run(capsys, "sweep", "--preset", name)
+        assert rc == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        rmax = next(s for s in report.build_figure(fig_id).series
+                    if s.name == "rmax")
+        assert [(float(r_peak) / 1e18, float(r_max) / 1e18)
+                for r_peak, r_max, _ in rows] == list(rmax.points)
+
 
 class TestSurface:
     def test_unity_efficiency_row(self, capsys):
@@ -280,6 +311,16 @@ class TestFigure:
         assert out_planted == out
         assert csv_path.read_bytes() == clean_bytes
 
+    def test_payload_above_metadata_peak_names_the_machine(self, capsys, tmp_path):
+        data = tmp_path / "points.csv"
+        data.write_text("machine,date,benchmark,rpeak_flops,rmax_flops,cores\n"
+                        "Taihulight,2016.0,HPL,,1e30,\n", encoding="utf-8")
+        rc, out, err = run(capsys, "figure", "1", "--data", str(data),
+                           "--out", str(tmp_path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: Taihulight: r_max 1e+30 exceeds r_peak")
+        assert "machines_meta.csv" in err and "Traceback" not in err
+
     def test_unknown_id_lists_valid_ids(self, capsys):
         rc, _, err = run(capsys, "figure", "9")
         assert rc == 1
@@ -315,3 +356,59 @@ class TestHelp:
     def test_no_command_is_usage_error(self, capsys):
         rc, _, _ = run(capsys)
         assert rc == 1
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("argv,code", [(PREDICT_TINY_SLOPE, 0),
+                                           (INVERT_OVERFLOW, 2),
+                                           (RELATIVISTIC_OVERFLOW, 2)],
+                             ids=["predict", "invert", "relativistic"])
+    def test_finite_answer_or_data_error(self, capsys, argv, code):
+        rc, out, err = run(capsys, *argv)
+        assert rc == code
+        if code == 0:  # no payload peak within float range, so no warning
+            assert err == ""
+            assert all(math.isfinite(float(v)) for v in re.findall(r"= (\S+)", out))
+        else:
+            assert out == "" and err.startswith("error: ")
+            assert "overflows" in err
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_OVERRIDE_KEYS = [f.name for cls in (AlphaDecomposition, MachineModel)
+                  for f in fields(cls)]
+
+
+def _options(**values):
+    # --key=value keeps argparse from reading "-1e-05" as an option
+    return [f"--{key}={value!r}" for key, value in values.items()]
+
+
+_ARGV = st.one_of(
+    st.builds(lambda n, rpeak, rmax: ["invert", *_options(n=n, rpeak=rpeak, rmax=rmax)],
+              _FINITE, _FINITE, _FINITE),
+    st.builds(lambda t, n, a: ["relativistic", *_options(t=t, n=n, a=a)],
+              _FINITE, _FINITE, _FINITE),
+    st.builds(lambda n, p, alpha: ["predict", *_options(n=n, p=p, alpha=alpha)],
+              _FINITE, _FINITE, _FINITE),
+    st.builds(lambda name, rpeak, key, value: [
+                  "predict", "--preset", name, *_options(rpeak=rpeak),
+                  f"--override={key}={value!r}"],
+              st.sampled_from(["HPL", "HPCG", "NN"]), _FINITE,
+              st.sampled_from(_OVERRIDE_KEYS), _FINITE),
+)
+
+
+class TestNumericOptionsFuzz:
+    @settings(max_examples=400, derandomize=True)
+    @given(argv=_ARGV)
+    @example(argv=PREDICT_TINY_SLOPE)
+    @example(argv=INVERT_OVERFLOW)
+    @example(argv=RELATIVISTIC_OVERFLOW)
+    def test_exit_code_and_finite_stdout(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.main(argv)
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert not re.search(r"\b(inf|nan)\b", out.getvalue(), re.IGNORECASE)

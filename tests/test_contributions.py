@@ -5,6 +5,7 @@ forms (oracle comments give the expression).
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,8 +15,7 @@ from peak_search import numeric_peak_n
 from parascale.contributions import (DEFAULT_MACHINE, AlphaDecomposition,
                                      MachineModel, ModelDomainError,
                                      alpha_os, alpha_total, analytic_peak_n,
-                                     peak_point, preset, rmax_of_rpeak,
-                                     with_overrides)
+                                     peak_point, preset, rmax_of_rpeak)
 from parascale.model import ParallelSystem, modern_total_perf
 
 HPL = preset("HPL").decomposition
@@ -50,7 +50,7 @@ class TestPresets:
             preset("LINPACK2000")
 
     def test_overrides(self):
-        d = with_overrides(HPL, alpha_sw=7e-7)
+        d = replace(HPL, alpha_sw=7e-7)
         assert d.alpha_sw == 7e-7
         assert d.total_clocks == HPL.total_clocks
 
@@ -167,6 +167,16 @@ class TestPeakPoint:
         with pytest.raises(ValueError, match="no interior maximum"):
             analytic_peak_n(flat)
 
+    def test_slope_too_small_for_a_finite_peak(self):
+        # oracle: slope = 1.6e-308 / 2e13 rounds to a subnormal, and
+        # sqrt((1 - a) / slope) overflows to inf
+        tiny = replace(NN, loop_clocks_per_pu=1.6e-308)
+        assert tiny.slope > 0
+        with pytest.raises(ValueError, match="no finite interior maximum"):
+            analytic_peak_n(tiny)
+        with pytest.raises(ValueError, match="no finite interior maximum"):
+            peak_point(DEFAULT_MACHINE, tiny)
+
     def test_integer_neighbour(self):
         peak = peak_point(DEFAULT_MACHINE, NN)
         assert isinstance(peak.n_star_int, int)
@@ -257,7 +267,7 @@ class TestCrossModule:
                                        "bio_factor"])
     def test_decomposition_rejects_non_finite(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            with_overrides(HPL, **{field: bad})
+            replace(HPL, **{field: bad})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_machine_rejects_non_finite(self, bad):

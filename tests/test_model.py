@@ -100,6 +100,11 @@ class TestAlphaFromMeasurement:
         with pytest.raises(ValueError):
             alpha_from_measurement(100, eff)
 
+    def test_overflow_is_an_error(self):
+        # oracle: 1 / 4.9e-316 overflows to inf; the result is not finite
+        with pytest.raises(ValueError, match="overflows"):
+            alpha_from_measurement(4.5e252, 4.9e-316)
+
 
 class TestSaturationLimit:
     def test_fully_serial(self):
@@ -147,6 +152,11 @@ class TestSpeeds:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             relativistic_speed(-1.0, RelativisticParams())
+
+    def test_classic_overflow_is_an_error(self):
+        assert math.isfinite(classic_speed(1e300, 9.81))
+        with pytest.raises(ValueError, match="overflows"):
+            classic_speed(1e300, 1e300)
 
     @pytest.mark.parametrize("t,accel", [(1e300, 9.81), (1e300, 1e300),
                                          (1.4e154 * LIGHT_SPEED, 1.0)])
