@@ -2,26 +2,32 @@
 
 Conventions: data goes to stdout (or ``--out``), warnings and errors to
 stderr.  Exit code 0 on success, 1 on usage errors, 2 on data or model
-errors.  Performance values accept a unit-prefix suffix (``0.1254E`` means
-0.1254 Eflop/s); times are seconds, dates fractional years.
+errors; a reader that closes stdout early (``| head``) ends the run quietly
+with 0, as the reader's own exit status reports its failures.  Performance
+values accept a unit-prefix suffix (``0.1254E`` means 0.1254 Eflop/s);
+times are seconds, dates fractional years.
+
+Only ``figure`` and ``surface`` import :mod:`parascale.report` (and through
+it :mod:`parascale.svg`), so the other commands start without them.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from pathlib import Path
 
-from . import ingest, report
+from . import ingest
 from .contributions import (DEFAULT_MACHINE, AlphaDecomposition, MachineModel,
                             ModelDomainError, peak_point, preset, preset_names,
                             rmax_of_rpeak)
-from .model import (ParallelSystem, PerformancePoint, RelativisticParams,
+from .model import (FIGURE_IDS, SAMPLES_PER_CURVE, SURFACE_ROWS,
+                    ParallelSystem, PerformancePoint, RelativisticParams,
                     alpha_from_measurement, classic_speed, classic_total_perf,
-                    modern_total_perf, relativistic_speed)
+                    logspace, modern_total_perf, relativistic_speed)
 from .units import format_flops, parse_flops
 
 
@@ -143,7 +149,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("--points must be >= 2")
     # every point is computed before any output, so a model error leaves none
     points = [rmax_of_rpeak(r_peak, m, d)
-              for r_peak in report.logspace(lo, hi, args.points)]
+              for r_peak in logspace(lo, hi, args.points)]
     with _output(args.out) as sink:
         sink.write("rpeak_flops,rmax_flops,efficiency\n")
         sink.writelines(f"{p.r_peak!r},{p.r_max!r},{p.efficiency!r}\n" for p in points)
@@ -151,6 +157,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    from . import report
     if not 1.0 <= args.nmin < args.nmax:
         raise UsageError("need 1 <= --nmin < --nmax")
     if not 0.0 < args.npar_min < args.npar_max <= 1.0:
@@ -179,6 +186,11 @@ def cmd_timeline(args) -> int:
     return 0
 
 
+def _speed(v: float) -> str:
+    """``:.6f``, or ``:.6e`` from 1e15 m/s on, where fixed point gets unreadable."""
+    return f"{v:.6e}" if abs(v) >= 1e15 else f"{v:.6f}"
+
+
 def cmd_relativistic(args) -> int:
     if args.t < 0:
         raise UsageError(f"--t must be >= 0 seconds, got {args.t}")
@@ -187,27 +199,28 @@ def cmd_relativistic(args) -> int:
     if args.a <= 0:
         raise UsageError(f"--a must be > 0 m/s^2, got {args.a}")
     params = RelativisticParams(accel=args.a, density=args.n)
-    print(f"classic = {classic_speed(args.t, args.a):.6f} m/s")
-    print(f"relativistic = {relativistic_speed(args.t, params):.6f} m/s")
-    print(f"limit = {params.limit_speed:.6f} m/s")
+    print(f"classic = {_speed(classic_speed(args.t, args.a))} m/s")
+    print(f"relativistic = {_speed(relativistic_speed(args.t, params))} m/s")
+    print(f"limit = {_speed(params.limit_speed)} m/s")
     return 0
 
 
 def cmd_figure(args) -> int:
+    from . import report
     fig_id = args.id  # upper-cased and checked by the parser
     warnings: list[str] = []
     cs = report.build_figure(fig_id, data_path=args.data, warnings=warnings)
     _print_warnings(warnings)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.out:  # the default "" is the current directory
+        os.makedirs(args.out, exist_ok=True)
     emitters = [("csv", report.emit_csv)]
     if args.format == "svg":
         emitters.append(("svg", report.emit_svg))
     for ext, emit in emitters:
-        path = out_dir / f"fig{fig_id}.{ext}"
+        path = os.path.join(args.out, f"fig{fig_id}.{ext}")
         with _output(path) as sink:
             emit(cs, sink)
-        print(str(path))
+        print(path)
     return 0
 
 
@@ -266,7 +279,7 @@ def build_parser() -> _Parser:
                    help="sweep start in flop/s (default 0.001E)")
     p.add_argument("--rpeak-max", default="1.1E",
                    help="sweep end in flop/s (default 1.1E)")
-    p.add_argument("--points", type=int, default=report.SAMPLES_PER_CURVE,
+    p.add_argument("--points", type=int, default=SAMPLES_PER_CURVE,
                    help="samples along the sweep")
     p.add_argument("-o", "--out", help="output CSV path (default stdout)")
     p.add_argument("--override", action="append", metavar="KEY=VALUE",
@@ -282,9 +295,9 @@ def build_parser() -> _Parser:
                    help="smallest serial fraction (dimensionless)")
     p.add_argument("--npar-max", type=_finite_float, default=1e-2,
                    help="largest serial fraction (dimensionless)")
-    p.add_argument("--points", type=int, default=report.SAMPLES_PER_CURVE,
+    p.add_argument("--points", type=int, default=SAMPLES_PER_CURVE,
                    help="PU-count samples per row")
-    p.add_argument("--rows", type=int, default=report.SURFACE_ROWS,
+    p.add_argument("--rows", type=int, default=SURFACE_ROWS,
                    help="serial-fraction rows")
     p.add_argument("-o", "--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_surface)
@@ -306,11 +319,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_relativistic)
 
     p = sub.add_parser("figure", help="regenerate a model figure")
-    p.add_argument("id", type=str.upper, choices=report.FIGURE_IDS,
-                   help=f"figure id: {', '.join(report.FIGURE_IDS)}")
+    p.add_argument("id", type=str.upper, choices=FIGURE_IDS,
+                   help=f"figure id: {', '.join(FIGURE_IDS)}")
     p.add_argument("--data", help="measurement CSV replacing the bundled "
                                   "dataset (figures 1, 3, 4)")
-    p.add_argument("-o", "--out", default=".", help="output directory")
+    p.add_argument("-o", "--out", default="", help="output directory")
     p.add_argument("--format", choices=["csv", "svg"], default="csv",
                    help="csv writes the dataset only; svg writes both")
     p.set_defaults(func=cmd_figure)
@@ -328,7 +341,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left (``| head``); per the SIGPIPE note in the Python
+        # signal docs, send the exit-time flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

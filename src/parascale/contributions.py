@@ -180,9 +180,14 @@ def peak_point(m: MachineModel, d: AlphaDecomposition) -> PeakPoint:
     The maximizer is the closed form :func:`analytic_peak_n`; the payload
     is evaluated there and at its integer neighbours with
     :func:`rmax_of_rpeak`.  A neighbour past the validity bound N*^2
-    (possible only when N* <= sqrt(2)) is not chosen.
+    (possible only when N* <= sqrt(2)) is not chosen.  ValueError ("no
+    finite interior maximum") is raised, as by :func:`analytic_peak_n`, when
+    the nominal performance N* * perf_per_pu is not a finite float.
     """
     n_star = analytic_peak_n(d)
+    if not math.isfinite(n_star * m.perf_per_pu):
+        raise ValueError(f"no finite interior maximum: N* = {n_star:.6g} PUs "
+                         f"of {m.perf_per_pu:.6g} flop/s overflow r_peak")
 
     def payload(n: float) -> float:
         return rmax_of_rpeak(n * m.perf_per_pu, m, d).r_max

@@ -21,9 +21,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+from collections.abc import Iterable
 from dataclasses import dataclass
-from importlib import resources
-from typing import IO, Iterable
 
 from .model import alpha_from_measurement
 from .units import PREFIX_EXP
@@ -120,7 +120,8 @@ def _parse_header(row: list[str], line: int) -> tuple[list[str], dict[str, float
     return fields, scales
 
 
-def parse_records(source: IO[str] | str) -> tuple[list[MachineRecord], list[str]]:
+def parse_records(source: io.TextIOBase | str
+                  ) -> tuple[list[MachineRecord], list[str]]:
     """Parse a measurement CSV into records plus collected warnings.
 
     Rows whose payload exceeds their nominal performance are physically
@@ -163,15 +164,18 @@ def parse_records(source: IO[str] | str) -> tuple[list[MachineRecord], list[str]
     return records, warnings
 
 
-def _non_comment_rows(source: IO[str]) -> Iterable[tuple[int, list[str]]]:
+def _non_comment_rows(source: io.TextIOBase) -> Iterable[tuple[int, list[str]]]:
     """Yield (file line number, row) skipping comments and blank lines."""
     reader = csv.reader(source)
-    for raw in reader:
-        if raw and raw[0].lstrip().startswith("#"):
-            continue
-        if not raw or all(not c.strip() for c in raw):
-            continue
-        yield reader.line_num, raw
+    try:
+        for raw in reader:
+            if raw and raw[0].lstrip().startswith("#"):
+                continue
+            if not raw or all(not c.strip() for c in raw):
+                continue
+            yield reader.line_num, raw
+    except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
+        raise ParseError(reader.line_num, "*", str(exc)) from None
 
 
 def _parse_float(text: str, line: int, column: str) -> float:
@@ -203,7 +207,8 @@ def _parse_cores(text: str, line: int) -> int | None:
     return int(value)
 
 
-def serialize_records(records: Iterable[MachineRecord], sink: IO[str]) -> None:
+def serialize_records(records: Iterable[MachineRecord],
+                      sink: io.TextIOBase) -> None:
     """Write records in the canonical flop/s schema; inverse of parse."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["machine", "date", "benchmark",
@@ -256,7 +261,7 @@ def machine_names(records: Iterable[MachineRecord]) -> list[str]:
     return list(seen)
 
 
-def load_meta(source: IO[str] | str) -> dict[str, dict[str, float]]:
+def load_meta(source: io.TextIOBase | str) -> dict[str, dict[str, float]]:
     """Load the machine metadata table (machine, cores, rpeak_flops).
 
     This is the externally sourced join data kept apart from measurement
@@ -321,17 +326,19 @@ def load_records(data_path: str | None,
         return parse_records(fh)
 
 
-def bundled_path(name: str):
-    """Path to a dataset shipped with the package (context-manager free)."""
-    return resources.files("parascale.data").joinpath(name)
+def bundled_path(name: str) -> str:
+    """Path of a dataset in the package's ``data`` folder, shipped as plain
+    files; ``os.path`` keeps ``importlib.resources`` and ``pathlib`` out of
+    every command's start-up."""
+    return os.path.join(os.path.dirname(__file__), "data", name)
 
 
 def load_bundled(name: str) -> tuple[list[MachineRecord], list[str]]:
     """Parse one of the shipped measurement datasets."""
-    with bundled_path(name).open("r", encoding="utf-8") as fh:
+    with open(bundled_path(name), encoding="utf-8") as fh:
         return parse_records(fh)
 
 
 def load_bundled_meta() -> dict[str, dict[str, float]]:
-    with bundled_path("machines_meta.csv").open("r", encoding="utf-8") as fh:
+    with open(bundled_path("machines_meta.csv"), encoding="utf-8") as fh:
         return load_meta(fh)

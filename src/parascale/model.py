@@ -30,6 +30,27 @@ from dataclasses import dataclass, field
 #: Speed of light in vacuum, m/s.
 LIGHT_SPEED = 299_792_458.0
 
+#: Log-spaced samples per model curve (figures and ``sweep``).
+SAMPLES_PER_CURVE = 512
+
+#: Serial-fraction rows in the default efficiency grid.
+SURFACE_ROWS = 64
+
+#: Ids of the figures :func:`parascale.report.build_figure` builds; kept here
+#: so that the command-line parser needs no figure code.
+FIGURE_IDS = ("1", "3", "4", "5", "6A", "6B", "6C")
+
+
+def logspace(lo: float, hi: float, n: int) -> list[float]:
+    """``n`` log-uniform samples from ``lo`` to ``hi``, both ends exact."""
+    if not 0 < lo < hi:
+        raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    a, b = math.log10(lo), math.log10(hi)
+    return [lo] + [10.0 ** (a + (b - a) * i / (n - 1))
+                   for i in range(1, n - 1)] + [hi]
+
 
 def require_finite(obj, names) -> None:
     """Raise ValueError if any named attribute of ``obj`` is nan or infinite."""

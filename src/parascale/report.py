@@ -20,19 +20,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
 
 from . import ingest
 from .contributions import DEFAULT_MACHINE, alpha_os, alpha_total, preset
-from .model import RelativisticParams, efficiency_from_nonparallel, relativistic_speed
+from .model import (FIGURE_IDS, SAMPLES_PER_CURVE, SURFACE_ROWS,
+                    RelativisticParams, efficiency_from_nonparallel, logspace,
+                    relativistic_speed)
 from .svg import render_svg
-
-#: Log-spaced samples per model curve.
-SAMPLES_PER_CURVE = 512
-
-#: Serial-fraction rows in the default efficiency grid.
-SURFACE_ROWS = 64
 
 #: Default serial fractions for the payload-vs-nominal chart; the first and
 #: fourth are the values measured for Taihulight with HPL and HPCG.
@@ -45,8 +41,6 @@ NEURAL_SIM_POINT = (9.83e-6, 8.39e-6)
 
 #: Measured reference points for the decomposition panels (exaflop/s).
 FIG6_MEASURED = {"HPL": (0.00587, 0.005), "HPCG": (0.00587, 0.000095)}
-
-FIGURE_IDS = ("1", "3", "4", "5", "6A", "6B", "6C")
 
 
 @dataclass(frozen=True)
@@ -96,17 +90,6 @@ class CurveSet:
             if (self.kind == "lines" and y_spec.scale == "log10"
                     and any(y <= 0 for _, y in s.points)):
                 raise ValueError(f"series {s.name!r} has y <= 0 on a log axis")
-
-
-def logspace(lo: float, hi: float, n: int) -> list[float]:
-    """``n`` log-uniform samples from ``lo`` to ``hi``, both ends exact."""
-    if not 0 < lo < hi:
-        raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    a, b = math.log10(lo), math.log10(hi)
-    return [lo] + [10.0 ** (a + (b - a) * i / (n - 1))
-                   for i in range(1, n - 1)] + [hi]
 
 
 def _by_benchmark(pairs: Iterable[tuple[str, tuple[float, float]]]
@@ -308,7 +291,7 @@ def fig6_panel(preset_name: str,
     )
 
 
-def emit_csv(cs: CurveSet, sink: IO[str]) -> None:
+def emit_csv(cs: CurveSet, sink: io.TextIOBase) -> None:
     """Write every series and overlay point as ``series,x,y`` rows.
 
     Values use the shortest representation that parses back to the same
@@ -323,7 +306,7 @@ def emit_csv(cs: CurveSet, sink: IO[str]) -> None:
         sink.write("".join([f"{prefix}{float(x)!r},{float(y)!r}\n" for x, y in s.points]))
 
 
-def emit_svg(cs: CurveSet, sink: IO[str]) -> None:
+def emit_svg(cs: CurveSet, sink: io.TextIOBase) -> None:
     """Render the curve set as a standalone SVG 1.1 document."""
     sink.write(render_svg(cs))
 

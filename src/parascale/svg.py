@@ -9,7 +9,7 @@ with the standard library and drawn with nearest-neighbour scaling.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 WIDTH = 960
 HEIGHT = 600

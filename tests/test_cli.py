@@ -246,6 +246,18 @@ class TestTimeline:
                        "--data", "/nonexistent.csv")
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [["timeline", "--machine", "A"],
+                                      ["figure", "3"]])
+    def test_cell_over_csv_field_limit_is_data_error(self, capsys, tmp_path, argv):
+        # the csv module refuses a field over 131,072 characters
+        data = tmp_path / "big.csv"
+        data.write_text("machine,date,benchmark,rpeak_flops,rmax_flops,cores\n"
+                        + "A" * 140_000 + ",2019.0,HPL,1e17,1e16,\n",
+                        encoding="utf-8")
+        rc, out, err = run(capsys, *argv, "--data", str(data), "-o", str(tmp_path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: line 2") and "Traceback" not in err
+
 
 class TestRelativistic:
     def test_one_day(self, capsys):
@@ -255,6 +267,9 @@ class TestRelativistic:
         assert v == pytest.approx(847580.61, abs=0.01)
         classic = grab(r"classic = ([0-9.]+) m/s", out)
         assert abs(v - classic) / classic < 1e-5
+        assert out == ("classic = 847584.000000 m/s\n"
+                       "relativistic = 847580.612539 m/s\n"
+                       "limit = 299792458.000000 m/s\n")
 
     def test_density_below_one(self, capsys):
         rc, _, _ = run(capsys, "relativistic", "--t", "1", "--n", "0.5")
@@ -267,6 +282,8 @@ class TestRelativistic:
         values = [float(v) for v in re.findall(r"= (\S+) m/s", out)]
         assert len(values) == 3 and all(math.isfinite(v) for v in values)
         assert values[1] == values[2] == 299792458.0
+        # speeds from 1e15 m/s on print in exponent form, not 301 digits
+        assert out.startswith("classic = 9.810000e+300 m/s\n")
 
 
 class TestFigure:
@@ -338,6 +355,38 @@ class TestStartup:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_import_loads_only_what_the_cli_needs(self):
+        # report and svg load in `figure` and `surface` only; importlib.resources,
+        # pathlib, typing and tempfile in no command
+        heavy = ["importlib.resources", "pathlib", "typing", "tempfile",
+                 "parascale.report", "parascale.svg"]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        for module, unwanted in (("parascale.cli", heavy),
+                                 ("parascale", ["importlib.resources"])):
+            code = (f"import sys, {module}; "
+                    f"print(sorted(set({unwanted!r}) & set(sys.modules)))")
+            done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.strip() == "[]", module
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_ends_quietly(self, tmp_path):
+        # ~1 MB of rows, far beyond a pipe's buffer, so writes fail once the
+        # reader is gone
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        with open(tmp_path / "stderr", "w+", encoding="utf-8") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-S", "-m", "parascale.cli", "sweep",
+                 "--preset", "HPL", "--points", "20000"],
+                env=env, stdout=subprocess.PIPE, stderr=err)
+            assert proc.stdout.readline() == b"rpeak_flops,rmax_flops,efficiency\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            err.seek(0)
+            assert err.read() == ""
 
 
 class TestHelp:

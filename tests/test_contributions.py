@@ -177,6 +177,12 @@ class TestPeakPoint:
         with pytest.raises(ValueError, match="no finite interior maximum"):
             peak_point(DEFAULT_MACHINE, tiny)
 
+    def test_peak_beyond_the_float_range_of_r_peak(self):
+        # N* = 6.3e149 is finite, but N* * 1e200 flop/s per PU is not
+        huge = replace(NN, loop_clocks_per_pu=1e-290)
+        with pytest.raises(ValueError, match="no finite interior maximum"):
+            peak_point(MachineModel(1e200), huge)
+
     def test_integer_neighbour(self):
         peak = peak_point(DEFAULT_MACHINE, NN)
         assert isinstance(peak.n_star_int, int)

@@ -410,7 +410,8 @@ class TestBuildFigure:
         assert digest == frozen[fig_id]
 
     def test_data_parse_warnings_are_collected(self, tmp_path):
-        clean = ingest.bundled_path("fig3_timeline.csv").read_text(encoding="utf-8")
+        with open(ingest.bundled_path("fig3_timeline.csv"), encoding="utf-8") as fh:
+            clean = fh.read()
         planted = tmp_path / "planted.csv"
         planted.write_text(clean + "Planted,2018.0,HPL,1.0,2.0,\n", encoding="utf-8")
         warnings = []
