@@ -2,8 +2,10 @@
 
 Conventions: data goes to stdout (or ``--out``), warnings and errors to
 stderr.  Exit code 0 on success, 1 on usage errors, 2 on data or model
-errors; a reader that closes stdout early (``| head``) ends the run quietly
-with 0, as the reader's own exit status reports its failures.  Performance
+errors, and 2 on an internal error (a bug, reported as ``internal error:``
+without a traceback unless ``PARASCALE_DEBUG=1``); a reader that closes
+stdout early (``| head``) ends the run quietly with 0, as the reader's own
+exit status reports its failures.  Performance
 values accept a unit-prefix suffix (``0.1254E`` means 0.1254 Eflop/s);
 times are seconds, dates fractional years.
 
@@ -354,6 +356,11 @@ def main(argv=None) -> int:
         return 1
     except (ingest.ParseError, ModelDomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug: report it without a traceback
+        if os.environ.get("PARASCALE_DEBUG") == "1":
+            raise
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

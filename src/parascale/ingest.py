@@ -8,7 +8,8 @@ Dates are fractional years (a June list edition is year.0, a November
 edition year.5).  The performance columns accept a unit suffix in the
 header (``rmax_pflops``, ``rpeak_eflops``, ...), so files can keep values
 in the units their source published; everything is converted to flop/s on
-parse.  ``rpeak_flops``, ``rmax_flops`` and ``cores`` cells may be empty.
+parse.  The columns may come in any order, each once.  ``rpeak_flops``,
+``rmax_flops`` and ``cores`` cells may be empty.
 Comment lines start with ``#``.  Scientific notation is accepted.
 
 Parsing never prints: recoverable problems come back as warning strings for
@@ -24,6 +25,7 @@ import math
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .model import alpha_from_measurement
 from .units import PREFIX_EXP
@@ -100,20 +102,22 @@ def _parse_header(row: list[str], line: int) -> tuple[list[str], dict[str, float
     for cell in row:
         name = cell.strip().lower()
         if name in ("machine", "date", "benchmark", "cores"):
-            fields.append(name)
-            continue
-        for key in ("rpeak", "rmax"):
-            if name.startswith(key + "_"):
-                suffix = name[len(key) + 1:]
-                prefix = (suffix[:-len("flops")].upper()
-                          if suffix.endswith("flops") else None)
-                if prefix not in PREFIX_EXP:
-                    raise ParseError(line, cell, f"unknown unit suffix {suffix!r}")
-                fields.append(key)
-                scales[key] = 10.0 ** PREFIX_EXP[prefix]
-                break
+            key = name
         else:
-            raise ParseError(line, cell, "unrecognized header column")
+            for key in ("rpeak", "rmax"):
+                if name.startswith(key + "_"):
+                    suffix = name[len(key) + 1:]
+                    prefix = (suffix[:-len("flops")].upper()
+                              if suffix.endswith("flops") else None)
+                    if prefix not in PREFIX_EXP:
+                        raise ParseError(line, cell, f"unknown unit suffix {suffix!r}")
+                    scales[key] = 10.0 ** PREFIX_EXP[prefix]
+                    break
+            else:
+                raise ParseError(line, cell, "unrecognized header column")
+        if key in fields:
+            raise ParseError(line, cell, "duplicate header column")
+        fields.append(key)
     missing = [f for f in _HEADER_FIELDS if f not in fields]
     if missing:
         raise ParseError(line, ",".join(missing), "missing header columns")
@@ -133,28 +137,31 @@ def parse_records(source: io.TextIOBase | str
         source = io.StringIO(source)
     records: list[MachineRecord] = []
     warnings: list[str] = []
-    fields: list[str] | None = None
-    scales: dict[str, float] = {}
-    for line, row in _non_comment_rows(source):
-        if fields is None:
-            fields, scales = _parse_header(row, line)
-            continue
-        if len(row) != len(fields):
-            raise ParseError(line, "*", f"expected {len(fields)} cells, got {len(row)}")
-        cells = dict(zip(fields, (c.strip() for c in row)))
+    rows = _non_comment_rows(source)
+    first = next(rows, None)
+    if first is None:
+        return records, warnings
+    fields, scales = _parse_header(first[1], first[0])
+    # the header names each of the six columns once, so a row's cells are
+    # read by index, in the order of _HEADER_FIELDS
+    width = len(fields)
+    pick = itemgetter(*map(fields.index, _HEADER_FIELDS))
+    rpeak_scale, rmax_scale = scales["rpeak"], scales["rmax"]
+    for line, row in rows:
+        if len(row) != width:
+            raise ParseError(line, "*", f"expected {width} cells, got {len(row)}")
+        machine, date, benchmark, rpeak, rmax, cores = pick(row)
+        machine = machine.strip()
         try:
-            r_peak = _parse_perf(cells["rpeak"], scales.get("rpeak", 1.0), line, "rpeak")
-            r_max = _parse_perf(cells["rmax"], scales.get("rmax", 1.0), line, "rmax")
-            record = MachineRecord(
-                machine=cells["machine"],
-                date=_parse_float(cells["date"], line, "date"),
-                benchmark=cells["benchmark"],
-                r_peak=r_peak,
-                r_max=r_max,
-                cores=_parse_cores(cells["cores"], line),
-            )
+            # rpeak, rmax, date, cores: the order in which errors are raised
+            r_peak = _parse_perf(rpeak.strip(), rpeak_scale, line, "rpeak")
+            r_max = _parse_perf(rmax.strip(), rmax_scale, line, "rmax")
+            record = MachineRecord(machine,
+                                   _parse_float(date.strip(), line, "date"),
+                                   benchmark.strip(), r_peak, r_max,
+                                   _parse_cores(cores.strip(), line))
         except PayloadExceedsPeak as exc:
-            warnings.append(f"line {line}: rejected {cells['machine']!r}: {exc}")
+            warnings.append(f"line {line}: rejected {machine!r}: {exc}")
             continue
         except ParseError:
             raise
@@ -169,9 +176,8 @@ def _non_comment_rows(source: io.TextIOBase) -> Iterable[tuple[int, list[str]]]:
     reader = csv.reader(source)
     try:
         for raw in reader:
-            if raw and raw[0].lstrip().startswith("#"):
-                continue
-            if not raw or all(not c.strip() for c in raw):
+            # the join is empty or blank exactly when every cell is
+            if not "".join(raw).strip() or raw[0].lstrip()[:1] == "#":
                 continue
             yield reader.line_num, raw
     except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
@@ -213,15 +219,14 @@ def serialize_records(records: Iterable[MachineRecord],
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["machine", "date", "benchmark",
                      "rpeak_flops", "rmax_flops", "cores"])
-    for r in records:
-        writer.writerow([
-            r.machine,
-            repr(r.date),
-            r.benchmark,
-            "" if r.r_peak is None else repr(r.r_peak),
-            "" if r.r_max is None else repr(r.r_max),
-            "" if r.cores is None else str(r.cores),
-        ])
+    writer.writerows((
+        r.machine,
+        repr(r.date),
+        r.benchmark,
+        "" if r.r_peak is None else repr(r.r_peak),
+        "" if r.r_max is None else repr(r.r_max),
+        "" if r.cores is None else str(r.cores),
+    ) for r in records)
 
 
 def derive(records: Iterable[MachineRecord]) -> list[DerivedRecord]:
@@ -250,6 +255,8 @@ def timeline(records: Iterable[MachineRecord], machine: str) -> TimelineEntry:
     mine.sort(key=lambda r: r.date)
     points = tuple((r.date, r.r_max) for r in mine)
     ratios = tuple(b[1] / a[1] for a, b in zip(points, points[1:]))
+    if math.inf in ratios:  # a sub-normal r_max before a normal one
+        raise ValueError(f"r_max ratio of machine {machine!r} overflows")
     return TimelineEntry(machine=machine, points=points, ratios=ratios)
 
 
@@ -299,8 +306,8 @@ def join_meta(records: Iterable[MachineRecord],
     out: list[MachineRecord] = []
     for r in records:
         m = meta.get(r.machine)
-        if m is None:
-            out.append(r)
+        if m is None or (r.r_peak is not None and r.cores is not None):
+            out.append(r)  # nothing to fill
             continue
         try:
             out.append(MachineRecord(

@@ -11,10 +11,11 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from csv_fuzz import csv_text
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parascale import cli, report
+from parascale import cli, ingest, report
 from parascale.contributions import (DEFAULT_MACHINE, AlphaDecomposition,
                                      MachineModel, peak_point, preset)
 from parascale.units import format_flops, parse_flops
@@ -30,6 +31,9 @@ INVERT_OVERFLOW = ["invert", "--n", "4.513758932198827e+252",
                    "--rpeak", "5.0057508638918984e+16",
                    "--rmax", "2.454219613359543e-299"]
 RELATIVISTIC_OVERFLOW = ["relativistic", "--t", "1e300", "--a", "1e300"]
+# A payload so small that the next edition's improvement ratio overflows.
+TINY_RMAX = ("machine,date,benchmark,rpeak_flops,rmax_pflops,cores\n"
+             "Summit,2018.0,HPL,,5e-324,\nSummit,2018.5,HPL,,122.3,\n")
 
 
 def run(capsys, *argv):
@@ -389,6 +393,25 @@ class TestBrokenPipe:
             assert err.read() == ""
 
 
+class TestInternalError:
+    @staticmethod
+    def _bug(*args):
+        raise KeyError("planted")
+
+    def test_reported_without_traceback(self, capsys, monkeypatch):
+        monkeypatch.delenv("PARASCALE_DEBUG", raising=False)
+        monkeypatch.setattr(ingest, "timeline", self._bug)
+        rc, out, err = run(capsys, "timeline", "--machine", "Summit")
+        assert (rc, out) == (2, "")
+        assert err == "internal error: KeyError: 'planted'\n"
+
+    def test_debug_reraises(self, monkeypatch):
+        monkeypatch.setenv("PARASCALE_DEBUG", "1")
+        monkeypatch.setattr(ingest, "timeline", self._bug)
+        with pytest.raises(KeyError, match="planted"):
+            cli.main(["timeline", "--machine", "Summit"])
+
+
 class TestHelp:
     @pytest.mark.parametrize("subcommand,needle", [
         ("predict", "flop/s"),
@@ -424,6 +447,7 @@ class TestOverflow:
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NON_FINITE = re.compile(r"\b(inf|nan)\b", re.IGNORECASE)
 _OVERRIDE_KEYS = [f.name for cls in (AlphaDecomposition, MachineModel)
                   for f in fields(cls)]
 
@@ -460,4 +484,36 @@ class TestNumericOptionsFuzz:
             rc = cli.main(argv)
         assert rc in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
-        assert not re.search(r"\b(inf|nan)\b", out.getvalue(), re.IGNORECASE)
+        assert "internal error" not in err.getvalue()
+        assert not _NON_FINITE.search(out.getvalue())
+
+
+class TestDataFuzz:
+    """Free and mutated ``--data`` files through ``timeline`` and ``figure 3``."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(text=csv_text(), machine=st.sampled_from(["Summit", "Gyoukou", "A"]),
+           figure=st.booleans())
+    @example(text=TINY_RMAX, machine="Summit", figure=False)  # ratio overflows
+    @example(text=TINY_RMAX.replace("pflops", "flops"), machine="Summit",
+             figure=True)  # r_max in Pflop/s underflows to 0 on a log axis
+    def test_exit_code_and_finite_output(self, tmp_path_factory, text, machine,
+                                         figure):
+        work = tmp_path_factory.getbasetemp() / "data-fuzz"
+        work.mkdir(exist_ok=True)
+        data = work / "data.csv"
+        data.write_text(text, encoding="utf-8")
+        argv = (["figure", "3", "-o", str(work)] if figure
+                else ["timeline", "--machine", machine])
+        (work / "fig3.csv").unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.main([*argv, "--data", str(data)])
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()
+        assert not _NON_FINITE.search(out.getvalue())
+        if figure and rc == 0:  # the x and y columns; a name may read "nan"
+            rows = (work / "fig3.csv").read_text(encoding="utf-8").splitlines()
+            assert all(math.isfinite(float(v))
+                       for row in rows[1:] for v in row.rsplit(",", 2)[1:])

@@ -3,7 +3,9 @@
 import io
 
 import pytest
-from hypothesis import given, settings
+import reference_ingest
+from csv_fuzz import META_FILE, csv_text
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parascale import ingest
@@ -91,6 +93,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("machine,date,benchmark,rpeak_flops,rmax_flops,sockets\n")
 
+    @pytest.mark.parametrize("text,column", [
+        ("machine,date,benchmark,rpeak_pflops,rmax_flops,cores,rpeak_flops\n"
+         "A,2000.0,HPL,1,1e12,,2e12\n", "rpeak_flops"),
+        ("machine,date,Machine,benchmark,rpeak_flops,rmax_flops,cores\n"
+         "A,2000.0,B,HPL,2e12,1e12,\n", "Machine"),
+    ])
+    def test_duplicate_header_column(self, text, column):
+        # the reference parser lets the last repeated column win
+        assert len(reference_ingest.parse_records(text)[0]) == 1
+        with pytest.raises(ParseError, match="duplicate header column") as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
+
     def test_unknown_unit_suffix(self):
         with pytest.raises(ParseError, match="unit suffix"):
             parse("machine,date,benchmark,rpeak_zflops,rmax_flops,cores\n")
@@ -160,6 +175,42 @@ class TestRoundTrip:
         assert parsed == records
 
 
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ParseError as exc:
+        return "error", exc.line, exc.column, str(exc)
+
+
+class TestParseFuzz:
+    """The parser against its reference copy, on free and mutated CSV text."""
+
+    @settings(max_examples=600, derandomize=True)
+    @given(text=csv_text())
+    # two bad cells in a row: the first in rpeak, rmax, date, cores order wins
+    @example(text=HEADER + "A,2000.0,HPL,x,y,\n")
+    @example(text=HEADER + "A,x,HPL,1e12,y,\n")
+    @example(text=HEADER + "A,x,HPL,1e12,1e11,y\n")
+    @example(text=HEADER + "A,1402.0,STREAM,1e12,1e11,y\n")
+    # a rejected row, then columns in another order with unit scales
+    @example(text=HEADER + "Bad,2000.0,HPL,1e12,2e12,\nA,2000.0,HPL,2e12,1e12,\n")
+    @example(text="cores,rmax_pflops,date,benchmark,machine,rpeak_eflops\n"
+                  "8,1,2019.5,HPCG,Z,0.002\n7,3,2019.5,HPL,Z,0.002\n")
+    def test_same_outcome_as_reference(self, text):
+        got = _outcome(parse_records, text)
+        if got[0] == "error" and got[3].endswith("duplicate header column"):
+            return  # the reference lets the last repeated column win
+        assert got == _outcome(reference_ingest.parse_records, text)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(text=csv_text((META_FILE,)))
+    def test_load_meta_returns_or_raises_parse_error(self, text):
+        try:
+            load_meta(text)
+        except ParseError:
+            pass
+
+
 class TestDerive:
     def test_taihulight_hpl(self):
         r = MachineRecord("Taihulight", 2019.0, "HPL",
@@ -223,6 +274,12 @@ class TestTimeline:
         entry = timeline(records, "Solo")
         assert entry.ratios == ()
 
+    def test_overflowing_ratio_is_value_error(self):
+        records, _ = parse(HEADER + "A,2018.0,HPL,,5e-324,\n"
+                                    "A,2018.5,HPL,,1e17,\n")
+        with pytest.raises(ValueError, match="ratio of machine 'A' overflows"):
+            timeline(records, "A")
+
     def test_unknown_machine(self):
         records, _ = ingest.load_bundled("fig3_timeline.csv")
         with pytest.raises(ValueError, match="no records"):
@@ -247,6 +304,19 @@ class TestMeta:
         assert joined[0].cores == 10_649_600
         assert joined[0].r_peak == 0.125e18  # measurement wins
         assert joined[1].cores is None
+
+    def test_join_returns_a_complete_record_itself(self):
+        r = MachineRecord("Taihulight", 2019.0, "HPL",
+                          r_peak=0.125e18, r_max=0.0930e18, cores=40)
+        (joined,) = join_meta([r], ingest.load_bundled_meta())
+        assert joined is r
+
+    def test_filled_peak_below_payload_names_the_machine(self):
+        r = MachineRecord("Taihulight", 2016.0, "HPL", r_max=1e30, cores=40)
+        with pytest.raises(ingest.PayloadExceedsPeak) as exc:
+            join_meta([r], ingest.load_bundled_meta())
+        assert str(exc.value) == ("Taihulight: r_max 1e+30 exceeds r_peak "
+                                  "1.25436e+17 (r_peak from machines_meta.csv)")
 
     def test_bad_meta_header(self):
         with pytest.raises(ParseError):
