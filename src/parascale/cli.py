@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, replace
 
 from . import ingest
 from .contributions import (DEFAULT_MACHINE, AlphaDecomposition, MachineModel,
@@ -37,18 +36,36 @@ class UsageError(Exception):
     pass
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's default width, ``shutil.get_terminal_size().columns - 2``,
+    without shutil, which argparse would import for each ``add_argument``."""
+
+    def __init__(self, prog):
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+            except (AttributeError, ValueError, OSError):
+                columns = 0
+        super().__init__(prog, width=(columns or 80) - 2)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # add_parser builds subparsers with this class
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+
     def error(self, message):  # argparse would exit(2); we own exit codes
         raise UsageError(message)
 
 
-def _parse_overrides(pairs):
-    """Validate key=value model overrides before any dispatch."""
-    decomp: dict[str, float] = {}
-    machine: dict[str, float] = {}
-    # each dataclass field is a key; it maps to the dict its value goes to
-    targets = {f.name: decomp for f in fields(AlphaDecomposition)}
-    targets.update({f.name: machine for f in fields(MachineModel)})
+def _parse_overrides(pairs, decomp, machine):
+    """Validate key=value model overrides into the field dicts they name."""
+    # each record field is a key; it maps to the dict its value goes to
+    targets = dict.fromkeys(decomp, decomp)
+    targets.update(dict.fromkeys(machine, machine))
     for pair in pairs or ():
         if "=" not in pair:
             raise UsageError(f"override must be key=value, got {pair!r}")
@@ -62,13 +79,14 @@ def _parse_overrides(pairs):
             raise UsageError(
                 f"unknown override key {key!r}; valid keys: {', '.join(targets)}")
         targets[key][key] = num
-    return decomp, machine
 
 
 def _preset_setup(args):
-    decomp_over, machine_over = _parse_overrides(args.override)
-    return (replace(preset(args.preset).decomposition, **decomp_over),
-            replace(DEFAULT_MACHINE, **machine_over))
+    decomp = preset(args.preset).decomposition._asdict()
+    machine = DEFAULT_MACHINE._asdict()
+    _parse_overrides(args.override, decomp, machine)
+    # rebuilt through the constructors, which validate (_replace would not)
+    return AlphaDecomposition(**decomp), MachineModel(**machine)
 
 
 def _finite_float(text: str) -> float:

@@ -22,7 +22,7 @@ maximum: past it, adding processors reduces delivered performance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import PerformancePoint, efficiency_from_nonparallel, require_finite
 
@@ -35,26 +35,26 @@ class ModelDomainError(ValueError):
         self.n_proc = n_proc
 
 
-@dataclass(frozen=True)
-class AlphaDecomposition:
+class AlphaDecomposition(namedtuple("AlphaDecomposition", "alpha_sw ctx_switch_clocks "
+                                    "total_clocks loop_clocks_per_pu bio_factor")):
     """Constants generating the serial fraction (1-alpha_total)(N)."""
 
-    alpha_sw: float
-    ctx_switch_clocks: float
-    total_clocks: float
-    loop_clocks_per_pu: float = 1.0
-    bio_factor: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite(self, ("alpha_sw", "ctx_switch_clocks", "total_clocks",
-                              "loop_clocks_per_pu", "bio_factor"))
+    def __new__(cls, alpha_sw: float, ctx_switch_clocks: float,
+                total_clocks: float, loop_clocks_per_pu: float = 1.0,
+                bio_factor: float = 1.0):
+        self = super().__new__(cls, alpha_sw, ctx_switch_clocks, total_clocks,
+                               loop_clocks_per_pu, bio_factor)
+        require_finite(self)
         for name in ("alpha_sw", "ctx_switch_clocks", "loop_clocks_per_pu"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.total_clocks <= 0:
+        if total_clocks <= 0:
             raise ValueError("total_clocks must be > 0")
-        if self.bio_factor < 1:
+        if bio_factor < 1:
             raise ValueError("bio_factor must be >= 1")
+        return self
 
     @property
     def constant_part(self) -> float:
@@ -67,24 +67,23 @@ class AlphaDecomposition:
         return self.bio_factor * self.loop_clocks_per_pu / self.total_clocks
 
 
-@dataclass(frozen=True)
-class MachineModel:
+class MachineModel(namedtuple("MachineModel", "perf_per_pu")):
     """Per-PU payload performance of the modeled machine."""
 
-    perf_per_pu: float = 100e9
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite(self, ("perf_per_pu",))
-        if self.perf_per_pu <= 0:
+    def __new__(cls, perf_per_pu: float = 100e9):
+        self = super().__new__(cls, perf_per_pu)
+        require_finite(self)
+        if perf_per_pu <= 0:
             raise ValueError("perf_per_pu must be > 0")
+        return self
 
 
-@dataclass(frozen=True)
-class BenchmarkPreset:
-    """A named workload with its overhead decomposition."""
+class BenchmarkPreset(namedtuple("BenchmarkPreset", "name decomposition")):
+    """A named workload with its :class:`AlphaDecomposition`."""
 
-    name: str
-    decomposition: AlphaDecomposition
+    __slots__ = ()
 
 
 #: Machine the built-in presets are calibrated for: 100 Gflop/s per PU at 1 GHz.
@@ -158,20 +157,16 @@ def rmax_of_rpeak(r_peak: float, m: MachineModel,
     return PerformancePoint(r_peak=r_peak, r_max=r_peak * eff, efficiency=eff)
 
 
-@dataclass(frozen=True)
-class PeakPoint:
+class PeakPoint(namedtuple("PeakPoint", "n_star r_peak_star r_max_star "
+                                         "n_star_int r_max_star_int")):
     """Interior maximum of the R_Max(R_Peak) curve.
 
     ``n_star`` is the continuous maximizer; ``n_star_int`` is whichever of
     its two neighbouring integers inside the validity bound delivers the
-    higher payload performance.
+    higher payload performance (an int).
     """
 
-    n_star: float
-    r_peak_star: float
-    r_max_star: float
-    n_star_int: int
-    r_max_star_int: float
+    __slots__ = ()
 
 
 def peak_point(m: MachineModel, d: AlphaDecomposition) -> PeakPoint:

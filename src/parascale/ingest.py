@@ -23,8 +23,8 @@ import csv
 import io
 import math
 import os
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .model import alpha_from_measurement
@@ -48,51 +48,42 @@ class PayloadExceedsPeak(ValueError):
     """A record whose r_max is above its r_peak, which no machine delivers."""
 
 
-@dataclass(frozen=True)
-class MachineRecord:
-    """One benchmark measurement row."""
+class MachineRecord(namedtuple("MachineRecord", "machine date benchmark "
+                                                 "r_peak r_max cores")):
+    """One benchmark measurement row; r_peak, r_max and cores may be None."""
 
-    machine: str
-    date: float
-    benchmark: str
-    r_peak: float | None = None
-    r_max: float | None = None
-    cores: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.benchmark not in BENCHMARKS:
-            raise ValueError(f"unknown benchmark tag {self.benchmark!r}")
-        if not 1990.0 <= self.date <= 2100.0:
-            raise ValueError(f"date {self.date} outside [1990, 2100]")
-        if self.cores is not None and self.cores < 1:
-            raise ValueError(f"cores must be >= 1, got {self.cores}")
-        if (self.r_peak is not None and self.r_max is not None
-                and self.r_max > self.r_peak):
+    def __new__(cls, machine: str, date: float, benchmark: str,
+                r_peak: float | None = None, r_max: float | None = None,
+                cores: int | None = None):
+        if benchmark not in BENCHMARKS:
+            raise ValueError(f"unknown benchmark tag {benchmark!r}")
+        if not 1990.0 <= date <= 2100.0:
+            raise ValueError(f"date {date} outside [1990, 2100]")
+        if cores is not None and cores < 1:
+            raise ValueError(f"cores must be >= 1, got {cores}")
+        if r_peak is not None and r_max is not None and r_max > r_peak:
             raise PayloadExceedsPeak(
-                f"r_max {self.r_max:.6g} exceeds r_peak {self.r_peak:.6g}")
+                f"r_max {r_max:.6g} exceeds r_peak {r_peak:.6g}")
+        return super().__new__(cls, machine, date, benchmark, r_peak, r_max, cores)
 
 
-@dataclass(frozen=True)
-class DerivedRecord:
-    """A measurement with efficiency and serial fraction attached.
+class DerivedRecord(namedtuple("DerivedRecord", "record efficiency nonparallel")):
+    """A :class:`MachineRecord` with efficiency and serial fraction attached.
 
     ``efficiency`` is present whenever both performance values are;
     ``nonparallel`` additionally needs the core count (the inversion is
-    degenerate below two PUs).
+    degenerate below two PUs).  Either may be None.
     """
 
-    record: MachineRecord
-    efficiency: float | None
-    nonparallel: float | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
-    """Chronological payload-performance history of one machine."""
+class TimelineEntry(namedtuple("TimelineEntry", "machine points ratios")):
+    """A machine's (date, r_max) ``points`` in date order and their ``ratios``."""
 
-    machine: str
-    points: tuple[tuple[float, float], ...]   # (date, r_max)
-    ratios: tuple[float, ...]                 # successive r_max ratios
+    __slots__ = ()
 
 
 def _parse_header(row: list[str], line: int) -> tuple[list[str], dict[str, float]]:
@@ -290,6 +281,8 @@ def load_meta(source: io.TextIOBase | str) -> dict[str, dict[str, float]]:
         r_peak = _parse_perf(row[2].strip(), 1.0, line, "rpeak_flops")
         if cores is None or r_peak is None:
             raise ParseError(line, "*", "metadata cells must not be empty")
+        if cores < 1:
+            raise ParseError(line, "cores", f"cores must be >= 1, got {cores}")
         meta[row[0].strip()] = {"cores": float(cores), "rpeak_flops": r_peak}
     return meta
 
@@ -311,13 +304,9 @@ def join_meta(records: Iterable[MachineRecord],
             continue
         try:
             out.append(MachineRecord(
-                machine=r.machine,
-                date=r.date,
-                benchmark=r.benchmark,
+                r.machine, r.date, r.benchmark, r_max=r.r_max,
                 r_peak=r.r_peak if r.r_peak is not None else m["rpeak_flops"],
-                r_max=r.r_max,
-                cores=r.cores if r.cores is not None else int(m["cores"]),
-            ))
+                cores=r.cores if r.cores is not None else int(m["cores"])))
         except PayloadExceedsPeak as exc:
             raise PayloadExceedsPeak(
                 f"{r.machine}: {exc} (r_peak from machines_meta.csv)") from None

@@ -25,7 +25,7 @@ Unit prefixes (Gflop/s, Eflop/s, ...) exist only at I/O boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 #: Speed of light in vacuum, m/s.
 LIGHT_SPEED = 299_792_458.0
@@ -52,16 +52,15 @@ def logspace(lo: float, hi: float, n: int) -> list[float]:
                    for i in range(1, n - 1)] + [hi]
 
 
-def require_finite(obj, names) -> None:
-    """Raise ValueError if any named attribute of ``obj`` is nan or infinite."""
-    for name in names:
-        value = getattr(obj, name)
+def require_finite(record) -> None:
+    """Raise ValueError if any field of the namedtuple ``record`` is not finite."""
+    for name, value in zip(record._fields, record):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class ParallelSystem:
+class ParallelSystem(namedtuple("ParallelSystem",
+                                "n_proc perf_single alpha nonparallel")):
     """A machine described by PU count, per-PU performance and parallel fraction.
 
     ``nonparallel`` is stored explicitly alongside ``alpha`` because measured
@@ -70,24 +69,23 @@ class ParallelSystem:
     :meth:`from_nonparallel` when that is the quantity you have.
     """
 
-    n_proc: float
-    perf_single: float
-    alpha: float
-    nonparallel: float = field(default=math.nan)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_proc < 1:
-            raise ValueError(f"n_proc must be >= 1, got {self.n_proc}")
-        if self.perf_single <= 0:
-            raise ValueError(f"perf_single must be > 0, got {self.perf_single}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if math.isnan(self.nonparallel):
-            object.__setattr__(self, "nonparallel", 1.0 - self.alpha)
-        elif not 0.0 <= self.nonparallel <= 1.0:
-            raise ValueError(
-                f"nonparallel must be in [0, 1], got {self.nonparallel}")
-        require_finite(self, ("n_proc", "perf_single"))
+    def __new__(cls, n_proc: float, perf_single: float, alpha: float,
+                nonparallel: float = math.nan):
+        if n_proc < 1:
+            raise ValueError(f"n_proc must be >= 1, got {n_proc}")
+        if perf_single <= 0:
+            raise ValueError(f"perf_single must be > 0, got {perf_single}")
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+        if math.isnan(nonparallel):
+            nonparallel = 1.0 - alpha
+        elif not 0.0 <= nonparallel <= 1.0:
+            raise ValueError(f"nonparallel must be in [0, 1], got {nonparallel}")
+        self = super().__new__(cls, n_proc, perf_single, alpha, nonparallel)
+        require_finite(self)  # alpha and nonparallel are in [0, 1] already
+        return self
 
     @classmethod
     def from_nonparallel(cls, n_proc: float, perf_single: float,
@@ -97,22 +95,22 @@ class ParallelSystem:
                    nonparallel=nonparallel)
 
 
-@dataclass(frozen=True)
-class RelativisticParams:
+class RelativisticParams(namedtuple("RelativisticParams", "accel light_speed density")):
     """Constant acceleration, limiting speed and optical density."""
 
-    accel: float = 9.81
-    light_speed: float = LIGHT_SPEED
-    density: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite(self, ("accel", "light_speed", "density"))
-        if self.accel <= 0:
-            raise ValueError(f"accel must be > 0, got {self.accel}")
-        if self.light_speed <= 0:
-            raise ValueError(f"light_speed must be > 0, got {self.light_speed}")
-        if self.density < 1:
-            raise ValueError(f"density must be >= 1, got {self.density}")
+    def __new__(cls, accel: float = 9.81, light_speed: float = LIGHT_SPEED,
+                density: float = 1.0):
+        self = super().__new__(cls, accel, light_speed, density)
+        require_finite(self)
+        if accel <= 0:
+            raise ValueError(f"accel must be > 0, got {accel}")
+        if light_speed <= 0:
+            raise ValueError(f"light_speed must be > 0, got {light_speed}")
+        if density < 1:
+            raise ValueError(f"density must be >= 1, got {density}")
+        return self
 
     @property
     def limit_speed(self) -> float:
@@ -120,23 +118,21 @@ class RelativisticParams:
         return self.light_speed / self.density
 
 
-@dataclass(frozen=True)
-class PerformancePoint:
+class PerformancePoint(namedtuple("PerformancePoint", "r_peak r_max efficiency")):
     """One (nominal, payload) performance pair with its efficiency."""
 
-    r_peak: float
-    r_max: float
-    efficiency: float = field(default=math.nan)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r_max <= self.r_peak < math.inf:
+    def __new__(cls, r_peak: float, r_max: float, efficiency: float = math.nan):
+        if not 0.0 < r_max <= r_peak < math.inf:
             raise ValueError(
-                f"need 0 < r_max <= r_peak < inf, got r_max={self.r_max}, "
-                f"r_peak={self.r_peak}")
-        if math.isnan(self.efficiency):
-            object.__setattr__(self, "efficiency", self.r_max / self.r_peak)
-        elif not math.isfinite(self.efficiency):
-            raise ValueError(f"efficiency must be finite, got {self.efficiency}")
+                f"need 0 < r_max <= r_peak < inf, got r_max={r_max}, "
+                f"r_peak={r_peak}")
+        if math.isnan(efficiency):
+            efficiency = r_max / r_peak
+        elif not math.isfinite(efficiency):
+            raise ValueError(f"efficiency must be finite, got {efficiency}")
+        return super().__new__(cls, r_peak, r_max, efficiency)
 
 
 def classic_total_perf(sys: ParallelSystem) -> float:

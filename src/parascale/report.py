@@ -20,8 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from . import ingest
 from .contributions import DEFAULT_MACHINE, alpha_os, alpha_total, preset
@@ -43,53 +43,49 @@ NEURAL_SIM_POINT = (9.83e-6, 8.39e-6)
 FIG6_MEASURED = {"HPL": (0.00587, 0.005), "HPCG": (0.00587, 0.000095)}
 
 
-@dataclass(frozen=True)
-class AxisSpec:
-    label: str
-    unit: str
-    scale: str  # "linear" | "log10"
-    min: float
-    max: float
+class AxisSpec(namedtuple("AxisSpec", "label unit scale min max")):
+    """One axis; ``scale`` is "linear" or "log10"."""
 
-    def __post_init__(self) -> None:
-        if self.scale not in ("linear", "log10"):
-            raise ValueError(f"unknown axis scale {self.scale!r}")
-        if not self.min < self.max:
-            raise ValueError(f"axis needs min < max, got [{self.min}, {self.max}]")
-        if self.scale == "log10" and self.min <= 0:
+    __slots__ = ()
+
+    def __new__(cls, label: str, unit: str, scale: str, min: float, max: float):
+        if scale not in ("linear", "log10"):
+            raise ValueError(f"unknown axis scale {scale!r}")
+        if not min < max:
+            raise ValueError(f"axis needs min < max, got [{min}, {max}]")
+        if scale == "log10" and min <= 0:
             raise ValueError("log axis requires min > 0")
+        return super().__new__(cls, label, unit, scale, min, max)
 
 
-@dataclass(frozen=True)
-class Series:
-    name: str
-    points: tuple[tuple[float, float], ...]
-    axis: str = "y"
-    level: float | None = None  # row coordinate for gridded sets
+class Series(namedtuple("Series", "name points axis level", defaults=("y", None))):
+    """Named (x, y) points on axis "y" or "y2"; ``level``: a grid row's coordinate."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CurveSet:
-    title: str
-    x_axis: AxisSpec
-    y_axis: AxisSpec
-    series: tuple[Series, ...]
-    overlays: tuple[Series, ...] = ()
-    y2_axis: AxisSpec | None = None
-    kind: str = "lines"  # "lines" | "heatmap"
+class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays "
+                                      "y2_axis kind")):
+    """A figure's series and overlays; ``kind`` is "lines" or "heatmap"."""
 
-    def __post_init__(self) -> None:
-        if not self.series:
+    __slots__ = ()
+
+    def __new__(cls, title: str, x_axis: AxisSpec, y_axis: AxisSpec,
+                series: tuple[Series, ...], overlays: tuple[Series, ...] = (),
+                y2_axis: AxisSpec | None = None, kind: str = "lines"):
+        if not series:
             raise ValueError("curve set needs at least one series")
-        for s in self.series:
+        for s in series:
             if not s.points:
                 raise ValueError(f"series {s.name!r} is empty")
-            if self.x_axis.scale == "log10" and any(x <= 0 for x, _ in s.points):
+            if x_axis.scale == "log10" and any(x <= 0 for x, _ in s.points):
                 raise ValueError(f"series {s.name!r} has x <= 0 on a log axis")
-            y_spec = self.y2_axis if (s.axis == "y2" and self.y2_axis) else self.y_axis
-            if (self.kind == "lines" and y_spec.scale == "log10"
+            y_spec = y2_axis if (s.axis == "y2" and y2_axis) else y_axis
+            if (kind == "lines" and y_spec.scale == "log10"
                     and any(y <= 0 for _, y in s.points)):
                 raise ValueError(f"series {s.name!r} has y <= 0 on a log axis")
+        return super().__new__(cls, title, x_axis, y_axis, series, overlays,
+                               y2_axis, kind)
 
 
 def _by_benchmark(pairs: Iterable[tuple[str, tuple[float, float]]]
@@ -149,13 +145,20 @@ def fig1_surface(n_range: tuple[float, float] = (1.0, 1e8),
     )
 
 
-def fig3_timeline(records: Sequence[ingest.MachineRecord]) -> CurveSet:
-    """Payload performance per machine over list editions, in petaflop/s."""
-    if not records:
-        raise ValueError("no data")
+def fig3_timeline(records: Sequence[ingest.MachineRecord],
+                  warnings: list[str] | None = None) -> CurveSet:
+    """Payload performance per machine over list editions, in petaflop/s;
+    a machine without any r_max is left out and named in ``warnings``."""
+    drawn = [r for r in records if r.r_max is not None]
+    if not drawn:
+        raise ValueError("no data with an rmax value")
+    names = ingest.machine_names(drawn)
+    if warnings is not None:
+        warnings.extend(f"machine {name!r} has no rmax; left out of the figure"
+                        for name in ingest.machine_names(records) if name not in names)
     series = []
-    for name in ingest.machine_names(records):
-        entry = ingest.timeline(records, name)
+    for name in names:
+        entry = ingest.timeline(drawn, name)
         pts = tuple((date, rmax / 1e15) for date, rmax in entry.points)
         series.append(Series(name=name, points=pts))
     dates = [x for s in series for x, _ in s.points]
@@ -332,7 +335,7 @@ def build_figure(fig_id: str, data_path: str | None = None,
     if warnings is not None:
         warnings.extend(found)
     if fig_id == "3":
-        return fig3_timeline(records)
+        return fig3_timeline(records, warnings)
     if fig_id == "4":
         return fig4_curves(measured=records)
     joined = ingest.join_meta(records, ingest.load_bundled_meta())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 #: Power-of-ten exponent of each unit prefix accepted on the command line
 #: and in CSV headers, smallest first; 10.0 ** exponent is the multiplier.
 PREFIX_EXP = {"": 0, "K": 3, "M": 6, "G": 9, "T": 12, "P": 15, "E": 18}
@@ -11,26 +13,23 @@ def parse_flops(text: str) -> float:
     """Parse a flop/s value with an optional prefix suffix, e.g. '0.1254E'.
 
     A bare number is taken as flop/s.  The prefix letter is case-sensitive
-    except that lowercase 'k' is accepted.  Scaling happens in decimal so
-    '0.1254E' parses to exactly the float the literal 0.1254e18 denotes.
+    except that lowercase 'k' is accepted.  The prefix's power of ten is
+    added to the literal's exponent, so '0.1254E' parses to exactly the
+    float the literal 0.1254e18 denotes, rounded once.
     """
-    # Imported here: ``import parascale`` reaches this module through
-    # ingest, and decimal would otherwise load on every import.
-    from decimal import Decimal, InvalidOperation
-
     s = text.strip()
     if not s:
         raise ValueError("empty flop/s value")
-    suffix = s[-1].upper() if s[-1] in ("k",) else s[-1]
-    if suffix in PREFIX_EXP and suffix != "":
-        exp, body = PREFIX_EXP[suffix], s[:-1]
-    else:
-        exp, body = 0, s
+    exp = PREFIX_EXP.get("K" if s[-1] == "k" else s[-1], 0)  # 0: no prefix
+    body = s[:-1].strip() if exp else s
     try:
-        value = float(Decimal(body) * Decimal(10) ** exp)
-    except InvalidOperation:
+        value = float(body)
+        if exp and math.isfinite(value):
+            mantissa, _, power = body.lower().partition("e")
+            value = float(f"{mantissa}e{int(power or 0) + exp}")
+    except ValueError:
         raise ValueError(f"cannot parse flop/s value {text!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise ValueError(f"flop/s value must be finite, got {text!r}")
     return value
 

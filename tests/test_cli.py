@@ -1,13 +1,14 @@
 """Command-line behavior: subcommands, exit codes, units, determinism."""
 
+import argparse
 import io
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 from parascale import cli, ingest, report
 from parascale.contributions import (DEFAULT_MACHINE, AlphaDecomposition,
                                      MachineModel, peak_point, preset)
-from parascale.units import format_flops, parse_flops
+from parascale.units import PREFIX_EXP, format_flops, parse_flops
+from reference_units import parse_flops as reference_parse_flops
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REPO_DATA = SRC / "parascale" / "data"
@@ -48,6 +50,26 @@ def grab(pattern, text):
     return float(m.group(1))
 
 
+def _flop_literal(lead, sign, digits, point, exponent, prefix, trail):
+    if point is not None:  # fixed form; point may fall before or after all digits
+        digits = f"{digits[:point]}.{digits[point:]}"
+    return f"{lead}{sign}{digits}{exponent}{prefix}{trail}"
+
+
+# up to 17 significant digits, fixed or exponent form, every prefix and "k"
+_FLOP_TEXT = st.builds(
+    _flop_literal,
+    lead=st.sampled_from(["", " ", "  "]),
+    sign=st.sampled_from(["", "-", "+"]),
+    digits=st.text("0123456789", min_size=1, max_size=17),
+    point=st.one_of(st.none(), st.integers(0, 17)),
+    exponent=st.one_of(st.just(""), st.builds(
+        "{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+        st.integers(0, 400))),
+    prefix=st.sampled_from([*PREFIX_EXP, "k"]),
+    trail=st.sampled_from(["", " ", "\t"]))
+
+
 class TestUnits:
     def test_parse_prefix_suffixes(self):
         assert parse_flops("0.1254E") == 0.1254e18
@@ -60,6 +82,27 @@ class TestUnits:
             parse_flops("12..3E")
         with pytest.raises(ValueError):
             parse_flops("")
+
+    def test_prefix_scales_the_literal_once(self):
+        # the float the literal denotes, not float("0.1254") * 1e18
+        assert parse_flops("0.1254E") == 1.254e17 != 0.1254 * 1e18
+        assert parse_flops("1.5e3P") == 1.5e18
+        assert parse_flops(" 7.25e-3 k ") == 7.25
+
+    @settings(max_examples=2000, derandomize=True)
+    @given(text=_FLOP_TEXT)
+    @example(text="1e999999E")  # decimal raised Overflow here
+    @example(text="E")
+    def test_same_float_as_the_decimal_reference(self, text):
+        # up to 17 significant digits: the reference's 28-digit decimal
+        # context may round twice only on longer literals
+        try:
+            expected = reference_parse_flops(text)
+        except (ValueError, ArithmeticError):  # ArithmeticError: decimal.Overflow
+            with pytest.raises(ValueError):
+                parse_flops(text)
+            return
+        assert parse_flops(text) == expected
 
     def test_format(self):
         assert format_flops(1e11) == "100 Gflop/s"
@@ -88,6 +131,13 @@ class TestInvert:
                          "--rpeak", "2E", "--rmax", "1E")
         assert rc == 1
         assert "usage error" in err
+
+    def test_overflowing_prefixed_value_is_usage_error(self, capsys):
+        rc, out, err = run(capsys, "invert", "--n", "100",
+                           "--rpeak", "1e999999E", "--rmax", "1P")
+        assert (rc, out) == (1, "")
+        assert err == ("usage error: --rpeak: flop/s value must be finite, "
+                       "got '1e999999E'\n")
 
     def test_rmax_above_rpeak_is_usage_error(self, capsys):
         rc, _, _ = run(capsys, "invert", "--n", "100",
@@ -342,6 +392,18 @@ class TestFigure:
         assert err.startswith("error: Taihulight: r_max 1e+30 exceeds r_peak")
         assert "machines_meta.csv" in err and "Traceback" not in err
 
+    def test_machine_without_rmax_is_left_out_with_a_warning(self, capsys, tmp_path):
+        data = tmp_path / "two.csv"
+        data.write_text("machine,date,benchmark,rpeak_flops,rmax_pflops,cores\n"
+                        "Summit,2018.5,HPL,,143.5,\n"
+                        "Ghost,2018.5,HPL,1e17,,\n", encoding="utf-8")
+        rc, out, err = run(capsys, "figure", "3", "--data", str(data),
+                           "--out", str(tmp_path))
+        assert (rc, out) == (0, f"{tmp_path / 'fig3.csv'}\n")
+        assert err == "warning: machine 'Ghost' has no rmax; left out of the figure\n"
+        rows = (tmp_path / "fig3.csv").read_text(encoding="utf-8").splitlines()
+        assert rows == ["series,x,y", "Summit,2018.5,143.5"]
+
     def test_unknown_id_lists_valid_ids(self, capsys):
         rc, _, err = run(capsys, "figure", "9")
         assert rc == 1
@@ -374,6 +436,44 @@ class TestStartup:
                                   capture_output=True, text=True, timeout=60)
             assert done.returncode == 0, done.stderr
             assert done.stdout.strip() == "[]", module
+
+    def test_commands_load_no_heavy_modules(self):
+        # argparse imports shutil while build_parser runs, not at import, so
+        # the commands are run to the end
+        heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "decimal",
+                 "shutil", "typing"]
+        code = ("import contextlib, io, sys\n"
+                "from parascale import cli\n"
+                "for argv in (['invert', '--n', '1e7', '--rpeak', '0.1254E',\n"
+                "              '--rmax', '0.0930E'],\n"
+                "             ['sweep', '--preset', 'HPL', '--points', '4'],\n"
+                "             ['timeline', '--machine', 'Summit']):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert cli.main(argv) == 0, argv\n"
+                f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("columns", [None, "50", "0", "abc"])
+    def test_help_width_is_the_one_shutil_gives(self, monkeypatch, columns):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        width = shutil.get_terminal_size().columns - 2
+        assert cli._HelpFormatter("parascale")._width == width
+
+    @pytest.mark.parametrize("columns", ["50", "200"])
+    @pytest.mark.parametrize("argv", [["--help"], ["predict", "--help"]])
+    def test_help_bytes_equal_argparses_own(self, capsys, monkeypatch, columns,
+                                            argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        ours = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+        assert run(capsys, *argv) == ours
 
 
 class TestBrokenPipe:
@@ -448,8 +548,7 @@ class TestOverflow:
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _NON_FINITE = re.compile(r"\b(inf|nan)\b", re.IGNORECASE)
-_OVERRIDE_KEYS = [f.name for cls in (AlphaDecomposition, MachineModel)
-                  for f in fields(cls)]
+_OVERRIDE_KEYS = [*AlphaDecomposition._fields, *MachineModel._fields]
 
 
 def _options(**values):

@@ -5,7 +5,6 @@ forms (oracle comments give the expression).
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +16,13 @@ from parascale.contributions import (DEFAULT_MACHINE, AlphaDecomposition,
                                      alpha_os, alpha_total, analytic_peak_n,
                                      peak_point, preset, rmax_of_rpeak)
 from parascale.model import ParallelSystem, modern_total_perf
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes``, built through its validating
+    constructor (a namedtuple's ``_replace`` would skip the checks)."""
+    return type(record)(**{**record._asdict(), **changes})
+
 
 HPL = preset("HPL").decomposition
 HPCG = preset("HPCG").decomposition

@@ -326,6 +326,8 @@ class TestMeta:
         ("cores", "X,abc,1e12"),
         ("cores", "X,1.5,1e12"),
         ("cores", "X,inf,1e12"),
+        ("cores", "X,0,1e12"),
+        ("cores", "X,-3,1e12"),
         ("rpeak_flops", "X,10,nan"),
         ("rpeak_flops", "X,10,abc"),
         ("rpeak_flops", "X,10,0"),
