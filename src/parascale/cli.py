@@ -139,8 +139,12 @@ def cmd_predict(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     system = ParallelSystem(args.n, _flops(args.p, "--p"), args.alpha)
-    _print_point(PerformancePoint(r_peak=classic_total_perf(system),
-                                  r_max=modern_total_perf(system)), args.unit)
+    r_peak = classic_total_perf(system)
+    if not math.isfinite(r_peak):
+        raise ValueError(f"--n * --p overflows: "
+                         f"{args.n:.6g} * {system.perf_single:.6g} flop/s")
+    _print_point(PerformancePoint(r_peak=r_peak, r_max=modern_total_perf(system)),
+                 args.unit)
     return 0
 
 

@@ -153,6 +153,9 @@ def rmax_of_rpeak(r_peak: float, m: MachineModel,
         raise ValueError(
             f"r_peak {r_peak:.6g} below one PU ({m.perf_per_pu:.6g} flop/s)")
     n_proc = r_peak / m.perf_per_pu
+    if not math.isfinite(n_proc):
+        raise ValueError(f"PU count r_peak / perf_per_pu overflows: "
+                         f"{r_peak:.6g} / {m.perf_per_pu:.6g} flop/s")
     eff = efficiency_from_nonparallel(n_proc, alpha_total(n_proc, d))
     return PerformancePoint(r_peak=r_peak, r_max=r_peak * eff, efficiency=eff)
 

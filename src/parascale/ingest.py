@@ -240,9 +240,12 @@ def derive(records: Iterable[MachineRecord]) -> list[DerivedRecord]:
 
 def timeline(records: Iterable[MachineRecord], machine: str) -> TimelineEntry:
     """Chronological r_max history of one machine with improvement ratios."""
-    mine = [r for r in records if r.machine == machine and r.r_max is not None]
+    mine = [r for r in records if r.machine == machine]
     if not mine:
         raise ValueError(f"no records for machine {machine!r}")
+    mine = [r for r in mine if r.r_max is not None]
+    if not mine:
+        raise ValueError(f"machine {machine!r} has no rmax value")
     mine.sort(key=lambda r: r.date)
     points = tuple((r.date, r.r_max) for r in mine)
     ratios = tuple(b[1] / a[1] for a, b in zip(points, points[1:]))

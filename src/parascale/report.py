@@ -126,11 +126,14 @@ def fig1_surface(n_range: tuple[float, float] = (1.0, 1e8),
     if not 0 < b_lo < b_hi <= 1.0:
         raise ValueError(f"serial-fraction range must be within (0, 1], "
                          f"got [{b_lo}, {b_hi}]")
+    if not 1.0 <= n_lo:
+        raise ValueError(f"PU-count range must start at >= 1, got {n_lo}")
     n_samples, rows = grid_density
     ns = logspace(n_lo, n_hi, n_samples)
     series = []
     for beta in logspace(b_lo, b_hi, rows):
-        pts = tuple((n, efficiency_from_nonparallel(n, beta)) for n in ns)
+        # efficiency_from_nonparallel inline: the checks above keep n >= 1, beta > 0
+        pts = tuple((n, 1.0 / (1.0 + (n - 1.0) * beta)) for n in ns)
         series.append(Series(name=f"nonparallel={beta:.6g}", points=pts, level=beta))
     overlays = _by_benchmark(
         (d.record.benchmark, (float(d.record.cores), d.efficiency))
@@ -299,14 +302,18 @@ def emit_csv(cs: CurveSet, sink: io.TextIOBase) -> None:
 
     Values use the shortest representation that parses back to the same
     float, so the output is lossless and measured inputs appear verbatim.
-    Names are quoted by the csv module's rules, once per series.
+    Names are quoted by the csv module's rules, once per series; the series
+    share their x samples, so each x is formatted once per call.
     """
     sink.write("series,x,y\n")
+    x_reprs: dict[float, str] = {}  # nonzero x only: 0.0 == -0.0, their reprs differ
     for s in (*cs.series, *cs.overlays):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow([s.name, ""])
         prefix = buf.getvalue()[:-1]  # "<quoted name>,"
-        sink.write("".join([f"{prefix}{float(x)!r},{float(y)!r}\n" for x, y in s.points]))
+        x_reprs.update((x, repr(float(x))) for x, _ in s.points if x and x not in x_reprs)
+        sink.write("".join([f"{prefix}{x_reprs.get(x) or repr(float(x))},{float(y)!r}\n"
+                            for x, y in s.points]))
 
 
 def emit_svg(cs: CurveSet, sink: io.TextIOBase) -> None:

@@ -9,7 +9,7 @@ with the standard library and drawn with nearest-neighbour scaling.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 WIDTH = 960
 HEIGHT = 600
@@ -161,12 +161,14 @@ def _render_lines(cs, out, x_px, y_px) -> None:
     y2_px = _scale(cs.y2_axis, PLOT_B, PLOT_T) if cs.y2_axis is not None else None
     color_i = 0
     legend: list[tuple[str, str, str]] = []  # (label, color, marker)
+    x_strs: dict[float, str] = {}  # pixel x per x value; the series share their xs
 
     for s in cs.series:
         color = PALETTE[color_i % len(PALETTE)]
         color_i += 1
         to_y = y2_px if (s.axis == "y2" and y2_px is not None) else y_px
-        pts = " ".join(f"{_fmt(x_px(x))},{_fmt(to_y(y))}" for x, y in s.points)
+        pts = " ".join(f"{x_strs.get(x) or x_strs.setdefault(x, _fmt(x_px(x)))},"
+                       f"{_fmt(to_y(y))}" for x, y in s.points)
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
                    f'clip-path="url(#plot)" points="{pts}"/>')
         legend.append((s.name, color, "line"))
@@ -195,21 +197,24 @@ def _render_lines(cs, out, x_px, y_px) -> None:
         ly += 17
 
 
-def _rgb(t: float) -> tuple[int, int, int]:
-    """Three-stop gradient dark blue -> teal -> yellow, t in [0, 1]."""
-    stops = ((13, 8, 92), (0, 140, 140), (255, 230, 51))
-    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-    if t <= 0.5:
-        (r0, g0, b0), (r1, g1, b1), u = stops[0], stops[1], t * 2.0
-    else:
-        (r0, g0, b0), (r1, g1, b1), u = stops[1], stops[2], (t - 0.5) * 2.0
-    return (round(r0 + (r1 - r0) * u), round(g0 + (g1 - g0) * u),
-            round(b0 + (b1 - b0) * u))
+def _rgb(ts: Iterable[float]) -> bytes:
+    """Packed RGB of the three-stop gradient dark blue (13, 8, 92) -> teal
+    (0, 140, 140) -> yellow (255, 230, 51) at each t, clamped to [0, 1]."""
+    channels: list[float] = []
+    for t in ts:
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+        if t <= 0.5:
+            u = t * 2.0
+            channels += (13 - 13 * u, 8 + 132 * u, 92 + 48 * u)
+        else:
+            u = (t - 0.5) * 2.0
+            channels += (255 * u, 140 + 90 * u, 140 - 89 * u)
+    return bytes(map(round, channels))
 
 
 def _colormap(t: float) -> str:
     """The :func:`_rgb` colour as a ``#rrggbb`` fill."""
-    return "#%02x%02x%02x" % _rgb(t)
+    return "#" + _rgb((t,)).hex()
 
 
 def _png_href(rows: list[bytes], width: int) -> str:
@@ -247,7 +252,7 @@ def _render_heatmap(cs, out, x_px, y_px) -> None:
 
     # One pixel per cell, stretched over the outer cell edges and clipped to
     # the plot; the grid is log-uniform, so the cells keep their geometry.
-    pixels = [b"".join(bytes(_rgb((math.log10(v) - vmin) / span)) for _, v in s.points)
+    pixels = [_rgb([(math.log10(v) - vmin) / span for _, v in s.points])
               for s in reversed(rows)]
     x_lo, x_hi = _outer_edges(xs)
     y_lo, y_hi = _outer_edges([s.level for s in rows])

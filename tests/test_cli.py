@@ -185,6 +185,19 @@ class TestPredict:
         assert "r_peak*" in err  # peak report included
         assert "r_max" in out    # data still on stdout
 
+    def test_preset_pu_count_overflow_is_data_error(self, capsys):
+        rc, out, err = run(capsys, "predict", "--preset", "HPL", "--rpeak", "0.5E",
+                           "--override", "perf_per_pu=1e-300")
+        assert (rc, out) == (2, "")
+        assert err == ("error: PU count r_peak / perf_per_pu overflows: "
+                       "5e+17 / 1e-300 flop/s\n")
+
+    def test_explicit_system_overflow_names_the_options(self, capsys):
+        rc, out, err = run(capsys, "predict", "--n", "1e308", "--p", "1E",
+                           "--alpha", "0.5")
+        assert (rc, out) == (2, "")
+        assert err == "error: --n * --p overflows: 1e+308 * 1e+18 flop/s\n"
+
     def test_preset_outside_validity_is_data_error(self, capsys):
         # serial fraction reaches 1 around N=4e9 on the NN preset
         rc, _, err = run(capsys, "predict", "--preset", "NN", "--rpeak", "500E")
@@ -294,6 +307,20 @@ class TestTimeline:
         rc, _, err = run(capsys, "timeline", "--machine", "Colossus")
         assert rc == 2
         assert "Colossus" in err
+
+    @pytest.mark.parametrize("machine,message", [
+        ("Ghost", "machine 'Ghost' has no rmax value"),
+        ("Nobody", "no records for machine 'Nobody'")])
+    def test_no_rmax_told_apart_from_no_records(self, capsys, tmp_path, machine,
+                                                message):
+        data = tmp_path / "two.csv"
+        data.write_text("machine,date,benchmark,rpeak_flops,rmax_pflops,cores\n"
+                        "Summit,2018.5,HPL,,143.5,\n"
+                        "Ghost,2018.5,HPL,1e17,,\nGhost,2019.0,HPL,1e17,,\n",
+                        encoding="utf-8")
+        rc, out, err = run(capsys, "timeline", "--machine", machine,
+                           "--data", str(data))
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_file_is_data_error(self, capsys):
         rc, _, _ = run(capsys, "timeline", "--machine", "X",

@@ -135,6 +135,13 @@ class TestRmaxOfRpeak:
         with pytest.raises(ValueError, match="below one PU"):
             rmax_of_rpeak(1e9, DEFAULT_MACHINE, HPL)
 
+    @pytest.mark.parametrize("r_peak,perf_per_pu", [(0.5e18, 1e-300),
+                                                     (math.inf, 1e9)])
+    def test_overflowing_pu_count_rejected(self, r_peak, perf_per_pu):
+        # N = r_peak / perf_per_pu is inf: name the overflow, not an N=inf
+        with pytest.raises(ValueError, match="PU count r_peak / perf_per_pu overflows"):
+            rmax_of_rpeak(r_peak, MachineModel(perf_per_pu), HPL)
+
     def test_efficiency_attached(self):
         point = rmax_of_rpeak(1e15, DEFAULT_MACHINE, HPL)
         assert point.efficiency == pytest.approx(point.r_max / point.r_peak, rel=1e-12)

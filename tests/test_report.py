@@ -13,6 +13,9 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_report import emit_csv as reference_emit_csv
 
 from parascale import ingest, report, svg
 from parascale.contributions import DEFAULT_MACHINE, peak_point, preset
@@ -65,6 +68,14 @@ class TestSurface:
             fig1_surface(nonparallel_range=(0.0, 1e-2))
         with pytest.raises(ValueError):
             fig1_surface(n_range=(100.0, 1.0))
+        with pytest.raises(ValueError, match=">= 1"):
+            fig1_surface(n_range=(0.5, 10.0))
+
+    def test_every_cell_is_the_model_efficiency(self):
+        # the grid evaluates the model's formula inline
+        for s in build_figure("1").series:
+            assert all(eff == efficiency_from_nonparallel(n, s.level)
+                       for n, eff in s.points)
 
     def test_measured_overlays(self):
         records, _ = ingest.load_bundled("fig4_points.csv")
@@ -112,6 +123,25 @@ def ramp(t):
     lo, hi, u = ((stops[0], stops[1], t * 2.0) if t <= 0.5
                  else (stops[1], stops[2], (t - 0.5) * 2.0))
     return tuple(round(a + (b - a) * u) for a, b in zip(lo, hi))
+
+
+# t values around every stop and the clamp; at k/510 a channel lands on .5
+RAMP_SWEEP = ([k / 1000 for k in range(-200, 1201)] + [k / 510 for k in range(511)]
+              + [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1e-300, 0.5 + 1e-16, math.inf])
+
+
+class TestColourRamp:
+    def test_packed_ramp_on_a_dense_sweep(self):
+        assert svg._rgb(RAMP_SWEEP) == b"".join(bytes(ramp(t)) for t in RAMP_SWEEP)
+
+    @settings(max_examples=500, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False), max_size=20))
+    def test_packed_ramp_matches_the_ramp(self, ts):
+        assert svg._rgb(ts) == b"".join(bytes(ramp(t)) for t in ts)
+
+    def test_colormap_is_the_ramp_in_hex(self):
+        for t in RAMP_SWEEP:
+            assert svg._colormap(t) == "#%02x%02x%02x" % ramp(t)
 
 
 class TestHeatmapImage:
@@ -353,6 +383,51 @@ class TestEmission:
         assert sink.getvalue() == reference.getvalue()
         read_back = [row[0] for row in csv.reader(io.StringIO(sink.getvalue()))]
         assert read_back[1::2][:len(names)] == list(names)
+
+    @settings(max_examples=500, derandomize=True)
+    @given(st.data())
+    def test_csv_bytes_equal_the_unshared_emitter(self, data):
+        # series draw their x values from one pool, so they share them
+        ints = st.integers(-2**60, 2**60)
+        pool = data.draw(st.lists(st.one_of(
+            st.floats(), ints,
+            st.sampled_from([0.0, -0.0, 0, math.nan, math.inf, -math.inf])),
+            min_size=1, max_size=6))
+        point = st.tuples(st.sampled_from(pool), st.one_of(st.floats(), ints))
+        series = st.builds(Series, st.text(max_size=3),
+                           st.lists(point, min_size=1, max_size=8).map(tuple))
+        ax = AxisSpec("x", "", "linear", 0.0, 1.0)
+        cs = CurveSet("t", ax, ax,
+                      series=tuple(data.draw(st.lists(series, min_size=1, max_size=4))),
+                      overlays=tuple(data.draw(st.lists(series, max_size=2))))
+        got, expected = io.StringIO(), io.StringIO()
+        emit_csv(cs, got)
+        reference_emit_csv(cs, expected)
+        assert got.getvalue() == expected.getvalue()
+
+    def test_signed_zeros_and_int_x_keep_their_text(self):
+        ax = AxisSpec("x", "", "linear", -1.0, 1.0)
+        cs = CurveSet("t", ax, ax, series=(Series("a", ((0.0, 1), (-0.0, 2), (1, 3))),
+                                           Series("b", ((-0.0, 4), (0.0, 5), (1.0, 6)))))
+        sink = io.StringIO()
+        emit_csv(cs, sink)
+        assert sink.getvalue() == ("series,x,y\na,0.0,1.0\na,-0.0,2.0\na,1.0,3.0\n"
+                                   "b,-0.0,4.0\nb,0.0,5.0\nb,1.0,6.0\n")
+
+    def test_no_memo_outlives_a_call(self):
+        # figure 1 between two figure 4 emissions leaves figure 4's bytes alone
+        def emitted(fig_id):
+            cs = build_figure(fig_id)
+            text, image, expected = io.StringIO(), io.StringIO(), io.StringIO()
+            emit_csv(cs, text)
+            emit_svg(cs, image)
+            reference_emit_csv(cs, expected)
+            assert text.getvalue() == expected.getvalue()
+            return text.getvalue(), image.getvalue()
+
+        first = emitted("4")
+        emitted("1")
+        assert emitted("4") == first
 
     def test_csv_round_trips_losslessly(self):
         for name, x, y in csv_rows(fig6_panel("NN"))[:50]:
