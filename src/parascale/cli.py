@@ -9,8 +9,8 @@ exit status reports its failures.  Performance
 values accept a unit-prefix suffix (``0.1254E`` means 0.1254 Eflop/s);
 times are seconds, dates fractional years.
 
-Only ``figure`` and ``surface`` import :mod:`parascale.report` (and through
-it :mod:`parascale.svg`), so the other commands start without them.
+Only ``figure`` imports :mod:`parascale.report` (and through it
+:mod:`parascale.svg`), so the other commands start without them.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from . import ingest
 from .contributions import (DEFAULT_MACHINE, AlphaDecomposition, MachineModel,
                             ModelDomainError, peak_point, preset, preset_names,
                             rmax_of_rpeak)
-from .model import (FIGURE_IDS, SAMPLES_PER_CURVE, SURFACE_ROWS,
-                    ParallelSystem, PerformancePoint, RelativisticParams,
+from .model import (FIGURE_IDS, SAMPLES_PER_CURVE, ParallelSystem,
+                    PerformancePoint, RelativisticParams,
                     alpha_from_measurement, classic_speed, classic_total_perf,
                     logspace, modern_total_perf, relativistic_speed)
 from .units import format_flops, parse_flops
@@ -180,24 +180,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_surface(args) -> int:
-    from . import report
-    if not 1.0 <= args.nmin < args.nmax:
-        raise UsageError("need 1 <= --nmin < --nmax")
-    if not 0.0 < args.npar_min < args.npar_max <= 1.0:
-        raise UsageError("need 0 < --npar-min < --npar-max <= 1")
-    if args.points < 2 or args.rows < 2:
-        raise UsageError("--points and --rows must be >= 2")
-    cs = report.fig1_surface(
-        n_range=(args.nmin, args.nmax),
-        nonparallel_range=(args.npar_min, args.npar_max),
-        grid_density=(args.points, args.rows),
-    )
-    with _output(args.out) as sink:
-        report.emit_csv(cs, sink)
-    return 0
-
-
 def cmd_timeline(args) -> int:
     records, warnings = ingest.load_records(args.data, "fig3_timeline.csv")
     _print_warnings(warnings)
@@ -309,22 +291,6 @@ def build_parser() -> _Parser:
     p.add_argument("--override", action="append", metavar="KEY=VALUE",
                    help="model constant override (repeatable)")
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("surface", help="efficiency grid over PUs and serial fraction")
-    p.add_argument("--nmin", type=_finite_float, default=1.0,
-                   help="smallest PU count")
-    p.add_argument("--nmax", type=_finite_float, default=1e8,
-                   help="largest PU count")
-    p.add_argument("--npar-min", type=_finite_float, default=1e-8,
-                   help="smallest serial fraction (dimensionless)")
-    p.add_argument("--npar-max", type=_finite_float, default=1e-2,
-                   help="largest serial fraction (dimensionless)")
-    p.add_argument("--points", type=int, default=SAMPLES_PER_CURVE,
-                   help="PU-count samples per row")
-    p.add_argument("--rows", type=int, default=SURFACE_ROWS,
-                   help="serial-fraction rows")
-    p.add_argument("-o", "--out", help="output CSV path (default stdout)")
-    p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("timeline", help="payload history of one machine")
     p.add_argument("--machine", required=True, help="machine name")

@@ -223,8 +223,9 @@ def serialize_records(records: Iterable[MachineRecord],
 def derive(records: Iterable[MachineRecord]) -> list[DerivedRecord]:
     """Attach efficiency and serial fraction where computable.
 
-    Never drops or fails on a record: missing inputs simply leave the
-    derived fields empty.
+    Never drops a record: missing inputs leave the derived fields empty.  A
+    record whose efficiency underflows to 0, or whose serial fraction
+    overflows, raises ValueError naming its machine, benchmark and date.
     """
     out: list[DerivedRecord] = []
     for r in records:
@@ -233,7 +234,11 @@ def derive(records: Iterable[MachineRecord]) -> list[DerivedRecord]:
         if r.r_peak is not None and r.r_max is not None:
             eff = r.r_max / r.r_peak
             if r.cores is not None and r.cores >= 2:
-                nonparallel = alpha_from_measurement(r.cores, eff)
+                try:
+                    nonparallel = alpha_from_measurement(r.cores, eff)
+                except ValueError as exc:
+                    raise ValueError(f"{r.machine} ({r.benchmark}, {r.date!r}): "
+                                     f"{exc}") from None
         out.append(DerivedRecord(record=r, efficiency=eff, nonparallel=nonparallel))
     return out
 

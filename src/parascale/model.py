@@ -33,9 +33,6 @@ LIGHT_SPEED = 299_792_458.0
 #: Log-spaced samples per model curve (figures and ``sweep``).
 SAMPLES_PER_CURVE = 512
 
-#: Serial-fraction rows in the default efficiency grid.
-SURFACE_ROWS = 64
-
 #: Ids of the figures :func:`parascale.report.build_figure` builds; kept here
 #: so that the command-line parser needs no figure code.
 FIGURE_IDS = ("1", "3", "4", "5", "6A", "6B", "6C")

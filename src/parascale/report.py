@@ -25,10 +25,15 @@ from collections.abc import Iterable, Sequence
 
 from . import ingest
 from .contributions import DEFAULT_MACHINE, alpha_os, alpha_total, preset
-from .model import (FIGURE_IDS, SAMPLES_PER_CURVE, SURFACE_ROWS,
-                    RelativisticParams, efficiency_from_nonparallel, logspace,
-                    relativistic_speed)
+from .model import (FIGURE_IDS, SAMPLES_PER_CURVE, RelativisticParams,
+                    efficiency_from_nonparallel, logspace, relativistic_speed)
 from .svg import render_svg
+
+#: Figure 1's grid: log-spaced PU counts (``SAMPLES_PER_CURVE`` columns) and
+#: serial fractions (``FIG1_ROWS`` rows).
+FIG1_N_RANGE = (1.0, 1e8)
+FIG1_NONPARALLEL_RANGE = (1e-8, 1e-2)
+FIG1_ROWS = 64
 
 #: Default serial fractions for the payload-vs-nominal chart; the first and
 #: fourth are the values measured for Taihulight with HPL and HPCG.
@@ -109,11 +114,7 @@ def _log_bounds(default_lo: float, default_hi: float,
     return lo, hi
 
 
-def fig1_surface(n_range: tuple[float, float] = (1.0, 1e8),
-                 nonparallel_range: tuple[float, float] = (1e-8, 1e-2),
-                 grid_density: tuple[int, int] = (SAMPLES_PER_CURVE, SURFACE_ROWS),
-                 measured: Sequence[ingest.DerivedRecord] = (),
-                 ) -> CurveSet:
+def fig1_surface(measured: Sequence[ingest.DerivedRecord] = ()) -> CurveSet:
     """Efficiency grid over PU count (columns) and serial fraction (rows).
 
     Each series is one grid row: points are (N, efficiency) at that row's
@@ -121,18 +122,10 @@ def fig1_surface(n_range: tuple[float, float] = (1.0, 1e8),
     (cores, efficiency) pairs; the heat-map renderer places them at the
     serial fraction the model infers from them.
     """
-    n_lo, n_hi = n_range
-    b_lo, b_hi = nonparallel_range
-    if not 0 < b_lo < b_hi <= 1.0:
-        raise ValueError(f"serial-fraction range must be within (0, 1], "
-                         f"got [{b_lo}, {b_hi}]")
-    if not 1.0 <= n_lo:
-        raise ValueError(f"PU-count range must start at >= 1, got {n_lo}")
-    n_samples, rows = grid_density
-    ns = logspace(n_lo, n_hi, n_samples)
+    ns = logspace(*FIG1_N_RANGE, SAMPLES_PER_CURVE)
     series = []
-    for beta in logspace(b_lo, b_hi, rows):
-        # efficiency_from_nonparallel inline: the checks above keep n >= 1, beta > 0
+    for beta in logspace(*FIG1_NONPARALLEL_RANGE, FIG1_ROWS):
+        # efficiency_from_nonparallel inline: the grid constants keep n >= 1, beta > 0
         pts = tuple((n, 1.0 / (1.0 + (n - 1.0) * beta)) for n in ns)
         series.append(Series(name=f"nonparallel={beta:.6g}", points=pts, level=beta))
     overlays = _by_benchmark(
@@ -140,8 +133,9 @@ def fig1_surface(n_range: tuple[float, float] = (1.0, 1e8),
         for d in measured if d.efficiency is not None and d.record.cores is not None)
     return CurveSet(
         title="Parallelization efficiency over PU count and serial fraction",
-        x_axis=AxisSpec("processing units", "count", "log10", n_lo, n_hi),
-        y_axis=AxisSpec("serial fraction (1-alpha)", "", "log10", b_lo, b_hi),
+        x_axis=AxisSpec("processing units", "count", "log10", *FIG1_N_RANGE),
+        y_axis=AxisSpec("serial fraction (1-alpha)", "", "log10",
+                        *FIG1_NONPARALLEL_RANGE),
         series=tuple(series),
         overlays=tuple(overlays),
         kind="heatmap",

@@ -63,24 +63,27 @@ def _scale(spec, lo_px: float, hi_px: float) -> Callable[[float], float]:
 
 
 def _ticks(spec) -> list[float]:
+    """Tick values within [min, max]: the decades of a log axis, or the
+    multiples of a 1-2-5 step on a linear one."""
     if spec.scale == "log10":
         lo = math.ceil(math.log10(spec.min) - 1e-9)
         hi = math.floor(math.log10(spec.max) + 1e-9)
-        return [10.0 ** k for k in range(lo, hi + 1)]
-    span = spec.max - spec.min
-    raw = span / 6.0
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(spec.min / step) * step
-    ticks = []
-    v = first
-    while v <= spec.max + step * 1e-9:
-        ticks.append(round(v / step) * step)
-        v += step
-    return ticks
+        ticks = [10.0 ** k for k in range(lo, hi + 1)]
+    else:
+        span = spec.max - spec.min
+        raw = span / 6.0
+        mag = 10.0 ** math.floor(math.log10(raw))
+        for mult in (1.0, 2.0, 5.0, 10.0):
+            if raw <= mult * mag:
+                step = mult * mag
+                break
+        first = math.ceil(spec.min / step) * step
+        ticks = []
+        v = first
+        while v <= spec.max + step * 1e-9:
+            ticks.append(round(v / step) * step)
+            v += step
+    return [v for v in ticks if spec.min <= v <= spec.max]
 
 
 def _axis_title(spec) -> str:
@@ -107,16 +110,12 @@ def render_svg(cs) -> str:
 
     # Frame, x ticks and labels (shared by both kinds).
     for v in _ticks(cs.x_axis):
-        if not cs.x_axis.min <= v <= cs.x_axis.max:
-            continue
         px = x_px(v)
         out.append(f'<line x1="{_fmt(px)}" y1="{PLOT_T}" x2="{_fmt(px)}" '
                    f'y2="{PLOT_B}" stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{_fmt(px)}" y="{PLOT_B + 20}" text-anchor="middle" '
                    f'font-size="12" {_FONT}>{_tick_label(v)}</text>')
     for v in _ticks(cs.y_axis):
-        if not cs.y_axis.min <= v <= cs.y_axis.max:
-            continue
         py = y_px(v)
         out.append(f'<line x1="{PLOT_L}" y1="{_fmt(py)}" x2="{PLOT_R}" '
                    f'y2="{_fmt(py)}" stroke="#dddddd" stroke-width="1"/>')
@@ -142,8 +141,6 @@ def render_svg(cs) -> str:
     if cs.y2_axis is not None:
         y2_px = _scale(cs.y2_axis, PLOT_B, PLOT_T)
         for v in _ticks(cs.y2_axis):
-            if not cs.y2_axis.min <= v <= cs.y2_axis.max:
-                continue
             py = y2_px(v)
             out.append(f'<text x="{PLOT_R + 8}" y="{_fmt(py + 4)}" '
                        f'text-anchor="start" font-size="12" {_FONT}>'

@@ -36,6 +36,10 @@ RELATIVISTIC_OVERFLOW = ["relativistic", "--t", "1e300", "--a", "1e300"]
 # A payload so small that the next edition's improvement ratio overflows.
 TINY_RMAX = ("machine,date,benchmark,rpeak_flops,rmax_pflops,cores\n"
              "Summit,2018.0,HPL,,5e-324,\nSummit,2018.5,HPL,,122.3,\n")
+# Rows whose efficiency underflows to 0, or whose serial fraction overflows.
+UNDERFLOW_EFFICIENCY = ("machine,date,benchmark,rpeak_flops,rmax_flops,cores\n"
+                        "X,2019.0,HPL,1e300,1e-300,100\n")
+OVERFLOW_NONPARALLEL = UNDERFLOW_EFFICIENCY.replace("1e-300", "1e-10")
 
 
 def run(capsys, *argv):
@@ -151,10 +155,9 @@ class TestFiniteFloatOptions:
         ["invert", "--n", "inf", "--rpeak", "0.1254E", "--rmax", "0.0930E"],
         ["predict", "--n", "1e6", "--p", "100G", "--alpha", "nan"],
         ["predict", "--n", "inf", "--p", "100G", "--alpha", "0.5"],
-        ["surface", "--nmax", "inf"],
-        ["surface", "--npar-min", "nan"],
         ["relativistic", "--t", "inf"],
         ["relativistic", "--t", "1", "--a", "nan"],
+        ["relativistic", "--t", "1", "--n", "inf"],
     ])
     def test_non_finite_is_usage_error(self, capsys, argv):
         rc, out, err = run(capsys, *argv)
@@ -269,22 +272,6 @@ class TestSweep:
                     if s.name == "rmax")
         assert [(float(r_peak) / 1e18, float(r_max) / 1e18)
                 for r_peak, r_max, _ in rows] == list(rmax.points)
-
-
-class TestSurface:
-    def test_unity_efficiency_row(self, capsys):
-        rc, out, _ = run(capsys, "surface", "--nmax", "1e8",
-                         "--points", "16", "--rows", "4")
-        assert rc == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "series,x,y"
-        corner = [line for line in lines[1:]
-                  if line.split(",")[1] == "1.0" and line.split(",")[2] == "1.0"]
-        assert len(corner) == 4  # every serial-fraction row starts at E(1)=1
-
-    def test_bad_range(self, capsys):
-        rc, _, _ = run(capsys, "surface", "--npar-min", "0")
-        assert rc == 1
 
 
 class TestTimeline:
@@ -419,6 +406,19 @@ class TestFigure:
         assert err.startswith("error: Taihulight: r_max 1e+30 exceeds r_peak")
         assert "machines_meta.csv" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text,reason", [
+        (UNDERFLOW_EFFICIENCY, "efficiency must be in (0, 1], got 0.0"),
+        (OVERFLOW_NONPARALLEL, "serial fraction overflows at efficiency 1e-310"),
+    ], ids=["underflow", "overflow"])
+    def test_uninvertible_efficiency_names_the_record(self, capsys, tmp_path,
+                                                      text, reason):
+        data = tmp_path / "points.csv"
+        data.write_text(text, encoding="utf-8")
+        rc, out, err = run(capsys, "figure", "1", "--data", str(data),
+                           "--out", str(tmp_path))
+        assert (rc, out) == (2, "")
+        assert err == f"error: X (HPL, 2019.0): {reason}\n"
+
     def test_machine_without_rmax_is_left_out_with_a_warning(self, capsys, tmp_path):
         data = tmp_path / "two.csv"
         data.write_text("machine,date,benchmark,rpeak_flops,rmax_pflops,cores\n"
@@ -450,7 +450,7 @@ class TestStartup:
         assert done.stdout.strip() == "[]"
 
     def test_import_loads_only_what_the_cli_needs(self):
-        # report and svg load in `figure` and `surface` only; importlib.resources,
+        # report and svg load in `figure` only; importlib.resources,
         # pathlib, typing and tempfile in no command
         heavy = ["importlib.resources", "pathlib", "typing", "tempfile",
                  "parascale.report", "parascale.svg"]
@@ -556,6 +556,15 @@ class TestHelp:
         rc, _, _ = run(capsys)
         assert rc == 1
 
+    def test_surface_is_not_a_command(self, capsys):
+        # its grid is the nonparallel=... series of `figure 1`
+        rc, out, err = run(capsys, "surface")
+        assert (rc, out) == (1, "")
+        assert err.startswith("usage error: ") and "invalid choice" in err
+        choices = err.partition("choose from")[2]
+        assert re.findall(r"\w+", choices) == ["predict", "invert", "sweep",
+                                               "timeline", "relativistic", "figure"]
+
 
 class TestOverflow:
     @pytest.mark.parametrize("argv,code", [(PREDICT_TINY_SLOPE, 0),
@@ -615,23 +624,27 @@ class TestNumericOptionsFuzz:
 
 
 class TestDataFuzz:
-    """Free and mutated ``--data`` files through ``timeline`` and ``figure 3``."""
+    """Free and mutated ``--data`` files through ``timeline``, ``figure 3``
+    and ``figure 1``, the figures as CSV and SVG."""
 
     @settings(max_examples=300, derandomize=True)
     @given(text=csv_text(), machine=st.sampled_from(["Summit", "Gyoukou", "A"]),
-           figure=st.booleans())
-    @example(text=TINY_RMAX, machine="Summit", figure=False)  # ratio overflows
+           figure=st.sampled_from([None, "3", "1"]))
+    @example(text=TINY_RMAX, machine="Summit", figure=None)  # ratio overflows
     @example(text=TINY_RMAX.replace("pflops", "flops"), machine="Summit",
-             figure=True)  # r_max in Pflop/s underflows to 0 on a log axis
+             figure="3")  # r_max in Pflop/s underflows to 0 on a log axis
+    @example(text=UNDERFLOW_EFFICIENCY, machine="X", figure="1")
+    @example(text=OVERFLOW_NONPARALLEL, machine="X", figure="1")
     def test_exit_code_and_finite_output(self, tmp_path_factory, text, machine,
                                          figure):
         work = tmp_path_factory.getbasetemp() / "data-fuzz"
         work.mkdir(exist_ok=True)
         data = work / "data.csv"
         data.write_text(text, encoding="utf-8")
-        argv = (["figure", "3", "-o", str(work)] if figure
+        argv = (["figure", figure, "--format", "svg", "-o", str(work)] if figure
                 else ["timeline", "--machine", machine])
-        (work / "fig3.csv").unlink(missing_ok=True)
+        written = work / f"fig{figure}.csv"
+        written.unlink(missing_ok=True)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             rc = cli.main([*argv, "--data", str(data)])
@@ -640,6 +653,6 @@ class TestDataFuzz:
         assert "internal error" not in err.getvalue()
         assert not _NON_FINITE.search(out.getvalue())
         if figure and rc == 0:  # the x and y columns; a name may read "nan"
-            rows = (work / "fig3.csv").read_text(encoding="utf-8").splitlines()
+            rows = written.read_text(encoding="utf-8").splitlines()
             assert all(math.isfinite(float(v))
                        for row in rows[1:] for v in row.rsplit(",", 2)[1:])

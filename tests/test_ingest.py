@@ -237,6 +237,16 @@ class TestDerive:
         assert d.efficiency is None
         assert d.nonparallel is None
 
+    @pytest.mark.parametrize("r_max,reason", [
+        (1e-300, "efficiency must be in (0, 1], got 0.0"),  # underflows to 0
+        (1e-10, "serial fraction overflows at efficiency 1e-310"),
+    ])
+    def test_uninvertible_efficiency_names_the_record(self, r_max, reason):
+        r = MachineRecord("X", 2019.0, "HPL", r_peak=1e300, r_max=r_max, cores=100)
+        with pytest.raises(ValueError) as exc:
+            derive([r])
+        assert str(exc.value) == f"X (HPL, 2019.0): {reason}"
+
     @settings(max_examples=200, derandomize=True)
     @given(records=st.lists(_records(), max_size=20))
     def test_cardinality_and_efficiency_range(self, records):

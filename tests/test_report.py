@@ -42,34 +42,17 @@ def csv_rows(cs):
 
 class TestSurface:
     def test_corner_n_equals_one(self):
-        cs = fig1_surface(n_range=(1.0, 1e4), grid_density=(16, 4))
+        cs = fig1_surface()
         for s in cs.series:
             n, eff = s.points[0]
             assert n == 1.0
             assert eff == 1.0
 
     def test_monotone_along_n(self):
-        cs = fig1_surface(grid_density=(64, 8))
+        cs = fig1_surface()
         for s in cs.series:
             effs = [y for _, y in s.points]
             assert all(a >= b for a, b in zip(effs, effs[1:]))
-
-    def test_grid_value_matches_core_model(self):
-        cs = fig1_surface(n_range=(10_649_600, 2e7),
-                          nonparallel_range=(3.3e-8, 1e-2),
-                          grid_density=(4, 3))
-        n, eff = cs.series[0].points[0]
-        assert n == 10_649_600
-        assert eff == efficiency_from_nonparallel(10_649_600, 3.3e-8)
-        assert eff == pytest.approx(0.740, abs=1e-3)
-
-    def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            fig1_surface(nonparallel_range=(0.0, 1e-2))
-        with pytest.raises(ValueError):
-            fig1_surface(n_range=(100.0, 1.0))
-        with pytest.raises(ValueError, match=">= 1"):
-            fig1_surface(n_range=(0.5, 10.0))
 
     def test_every_cell_is_the_model_efficiency(self):
         # the grid evaluates the model's formula inline
@@ -80,7 +63,7 @@ class TestSurface:
     def test_measured_overlays(self):
         records, _ = ingest.load_bundled("fig4_points.csv")
         joined = ingest.join_meta(records, ingest.load_bundled_meta())
-        cs = fig1_surface(grid_density=(8, 4), measured=ingest.derive(joined))
+        cs = fig1_surface(measured=ingest.derive(joined))
         names = [ov.name for ov in cs.overlays]
         assert names == ["HPCG measured", "HPL measured"]
         for ov in cs.overlays:
@@ -142,6 +125,21 @@ class TestColourRamp:
     def test_colormap_is_the_ramp_in_hex(self):
         for t in RAMP_SWEEP:
             assert svg._colormap(t) == "#%02x%02x%02x" % ramp(t)
+
+
+class TestTicks:
+    def test_log_axis_between_decades(self):
+        assert svg._ticks(AxisSpec("x", "", "log10", 0.5, 230.0)) == [1.0, 10.0, 100.0]
+        # within the 1e-9 decade tolerance of 1 and 1000, but outside the axis
+        ax = AxisSpec("x", "", "log10", 1.0000000001, 999.9999999)
+        assert svg._ticks(ax) == [10.0, 100.0]
+
+    def test_linear_axis(self):
+        ax = AxisSpec("year", "", "linear", 2010.0, 2020.0)
+        assert svg._ticks(ax) == [2010.0 + 2.0 * k for k in range(6)]
+        # the step tolerance reaches 1.0, just past the axis end
+        ax = AxisSpec("x", "", "linear", 0.0, 1.0 - 1e-12)
+        assert svg._ticks(ax) == [0.2 * k for k in range(5)]
 
 
 class TestHeatmapImage:
@@ -363,7 +361,7 @@ class TestEmission:
         assert 'version="1.1"' in svg
         assert svg.count("<polyline") == 2
         sink = io.StringIO()
-        emit_svg(fig1_surface(grid_density=(16, 8)), sink)
+        emit_svg(fig1_surface(), sink)
         assert "<rect" in sink.getvalue()
 
     def test_names_quoted_as_csv_writer_quotes_them(self):
