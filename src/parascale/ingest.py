@@ -27,7 +27,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from operator import itemgetter
 
-from .model import alpha_from_measurement
+from .model import alpha_from_measurement, require_efficiency
 from .units import PREFIX_EXP
 
 BENCHMARKS = ("HPL", "HPCG")
@@ -72,9 +72,10 @@ class MachineRecord(namedtuple("MachineRecord", "machine date benchmark "
 class DerivedRecord(namedtuple("DerivedRecord", "record efficiency nonparallel")):
     """A :class:`MachineRecord` with efficiency and serial fraction attached.
 
-    ``efficiency`` is present whenever both performance values are;
-    ``nonparallel`` additionally needs the core count (the inversion is
-    degenerate below two PUs).  Either may be None.
+    ``efficiency`` is present, and checked to be in (0, 1], whenever both
+    performance values are.  ``nonparallel``, the inverted serial fraction,
+    also needs two or more cores (the inversion is degenerate below two
+    PUs), so a one-core record keeps None.  Either may be None.
     """
 
     __slots__ = ()
@@ -224,8 +225,9 @@ def derive(records: Iterable[MachineRecord]) -> list[DerivedRecord]:
     """Attach efficiency and serial fraction where computable.
 
     Never drops a record: missing inputs leave the derived fields empty.  A
-    record whose efficiency underflows to 0, or whose serial fraction
-    overflows, raises ValueError naming its machine, benchmark and date.
+    record whose efficiency underflows to 0 (whatever its core count), or
+    whose serial fraction overflows, raises ValueError naming its machine,
+    benchmark and date.
     """
     out: list[DerivedRecord] = []
     for r in records:
@@ -233,12 +235,13 @@ def derive(records: Iterable[MachineRecord]) -> list[DerivedRecord]:
         nonparallel = None
         if r.r_peak is not None and r.r_max is not None:
             eff = r.r_max / r.r_peak
-            if r.cores is not None and r.cores >= 2:
-                try:
+            try:
+                require_efficiency(eff)  # whatever the core count
+                if r.cores is not None and r.cores >= 2:
                     nonparallel = alpha_from_measurement(r.cores, eff)
-                except ValueError as exc:
-                    raise ValueError(f"{r.machine} ({r.benchmark}, {r.date!r}): "
-                                     f"{exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{r.machine} ({r.benchmark}, {r.date!r}): "
+                                 f"{exc}") from None
         out.append(DerivedRecord(record=r, efficiency=eff, nonparallel=nonparallel))
     return out
 

@@ -56,6 +56,12 @@ def require_finite(record) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def require_efficiency(eff: float) -> None:
+    """Raise ValueError unless the measured efficiency ``eff`` is in (0, 1]."""
+    if not 0.0 < eff <= 1.0:
+        raise ValueError(f"efficiency must be in (0, 1], got {eff}")
+
+
 class ParallelSystem(namedtuple("ParallelSystem",
                                 "n_proc perf_single alpha nonparallel")):
     """A machine described by PU count, per-PU performance and parallel fraction.
@@ -180,8 +186,7 @@ def alpha_from_measurement(n_proc: float, eff: float) -> float:
     if n_proc < 2:
         raise ValueError(
             f"inversion degenerate: need n_proc >= 2, got {n_proc}")
-    if not 0.0 < eff <= 1.0:
-        raise ValueError(f"efficiency must be in (0, 1], got {eff}")
+    require_efficiency(eff)
     nonparallel = (1.0 / eff - 1.0) / (n_proc - 1.0)
     if not math.isfinite(nonparallel):
         raise ValueError(f"serial fraction overflows at efficiency {eff:.6g}")

@@ -64,7 +64,7 @@ class AxisSpec(namedtuple("AxisSpec", "label unit scale min max")):
 
 
 class Series(namedtuple("Series", "name points axis level", defaults=("y", None))):
-    """Named (x, y) points on axis "y" or "y2"; ``level``: a grid row's coordinate."""
+    """Named (x, y) points on axis "y" or "y2"; ``level``: their y on a heat map."""
 
     __slots__ = ()
 
@@ -80,7 +80,7 @@ class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays "
                 y2_axis: AxisSpec | None = None, kind: str = "lines"):
         if not series:
             raise ValueError("curve set needs at least one series")
-        for s in series:
+        for s in (*series, *overlays):  # both are drawn on these axes
             if not s.points:
                 raise ValueError(f"series {s.name!r} is empty")
             if x_axis.scale == "log10" and any(x <= 0 for x, _ in s.points):
@@ -91,16 +91,6 @@ class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays "
                 raise ValueError(f"series {s.name!r} has y <= 0 on a log axis")
         return super().__new__(cls, title, x_axis, y_axis, series, overlays,
                                y2_axis, kind)
-
-
-def _by_benchmark(pairs: Iterable[tuple[str, tuple[float, float]]]
-                  ) -> list[Series]:
-    """One ``<benchmark> measured`` overlay per benchmark, sorted by name."""
-    groups: dict[str, list[tuple[float, float]]] = {}
-    for bench, point in pairs:
-        groups.setdefault(bench, []).append(point)
-    return [Series(name=f"{bench} measured", points=tuple(pts))
-            for bench, pts in sorted(groups.items())]
 
 
 def _log_bounds(default_lo: float, default_hi: float,
@@ -118,9 +108,9 @@ def fig1_surface(measured: Sequence[ingest.DerivedRecord] = ()) -> CurveSet:
     """Efficiency grid over PU count (columns) and serial fraction (rows).
 
     Each series is one grid row: points are (N, efficiency) at that row's
-    serial fraction, carried in ``Series.level``.  Measured overlays are
-    (cores, efficiency) pairs; the heat-map renderer places them at the
-    serial fraction the model infers from them.
+    serial fraction, carried in ``Series.level``.  Each record that
+    :func:`ingest.derive` inverted is one overlay: its (cores, efficiency)
+    point, at the serial fraction ``derive`` found as its ``level``.
     """
     ns = logspace(*FIG1_N_RANGE, SAMPLES_PER_CURVE)
     series = []
@@ -128,16 +118,18 @@ def fig1_surface(measured: Sequence[ingest.DerivedRecord] = ()) -> CurveSet:
         # efficiency_from_nonparallel inline: the grid constants keep n >= 1, beta > 0
         pts = tuple((n, 1.0 / (1.0 + (n - 1.0) * beta)) for n in ns)
         series.append(Series(name=f"nonparallel={beta:.6g}", points=pts, level=beta))
-    overlays = _by_benchmark(
-        (d.record.benchmark, (float(d.record.cores), d.efficiency))
-        for d in measured if d.efficiency is not None and d.record.cores is not None)
+    overlays = tuple(Series(name=f"{d.record.benchmark} measured",
+                            points=((float(d.record.cores), d.efficiency),),
+                            level=d.nonparallel)
+                     for d in sorted(measured, key=lambda d: d.record.benchmark)
+                     if d.nonparallel is not None)
     return CurveSet(
         title="Parallelization efficiency over PU count and serial fraction",
         x_axis=AxisSpec("processing units", "count", "log10", *FIG1_N_RANGE),
         y_axis=AxisSpec("serial fraction (1-alpha)", "", "log10",
                         *FIG1_NONPARALLEL_RANGE),
         series=tuple(series),
-        overlays=tuple(overlays),
+        overlays=overlays,
         kind="heatmap",
     )
 
@@ -203,9 +195,12 @@ def fig4_curves(nonparallel_values: Sequence[float] = FIG4_NONPARALLEL,
         label = _FIG4_LABELS.get(beta, f"{beta:g}")
         series.append(Series(name=label, points=tuple(pts)))
 
-    overlays = _by_benchmark(
-        (r.benchmark, (r.r_peak / 1e18, r.r_max / 1e18))
-        for r in measured if r.r_peak is not None and r.r_max is not None)
+    groups: dict[str, list[tuple[float, float]]] = {}
+    for r in measured:
+        if r.r_peak is not None and r.r_max is not None:
+            groups.setdefault(r.benchmark, []).append((r.r_peak / 1e18, r.r_max / 1e18))
+    overlays = [Series(name=f"{bench} measured", points=tuple(pts))
+                for bench, pts in sorted(groups.items())]
     overlays.append(Series(name="neural-sim", points=(NEURAL_SIM_POINT,)))
 
     xs = [x for s in series for x, _ in s.points]

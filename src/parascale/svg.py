@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
+from operator import itemgetter
 
 WIDTH = 960
 HEIGHT = 600
@@ -242,9 +243,8 @@ def _render_heatmap(cs, out, x_px, y_px) -> None:
     # values are the mapped quantity.  Color scale is log10 of the value.
     rows = sorted(cs.series, key=lambda s: s.level)
     xs = [x for x, _ in rows[0].points]
-    values = [v for s in rows for _, v in s.points]
-    vmin = math.log10(min(values))
-    vmax = math.log10(max(values))
+    vmin = math.log10(min(min(map(itemgetter(1), s.points)) for s in rows))
+    vmax = math.log10(max(max(map(itemgetter(1), s.points)) for s in rows))
     span = (vmax - vmin) or 1.0
 
     # One pixel per cell, stretched over the outer cell edges and clipped to
@@ -260,17 +260,14 @@ def _render_heatmap(cs, out, x_px, y_px) -> None:
                f'image-rendering="optimizeSpeed" clip-path="url(#plot)" '
                f'xlink:href="{_png_href(pixels, len(xs))}"/>')
 
-    # Measured markers: (N, value) pairs are placed at the level the
-    # model attributes to them, solved from value = 1/(1 + (N-1)*level).
+    # Measured markers: each overlay's points sit at the level it carries.
+    # They have no clip path, so a marker outside either axis is left out.
     for ov in cs.overlays:
-        for n, v in ov.points:
-            if n < 2:
-                continue
-            level = (1.0 / v - 1.0) / (n - 1.0)
-            if not cs.y_axis.min <= level <= cs.y_axis.max:
-                continue
-            out.append(f'<circle cx="{_fmt(x_px(n))}" cy="{_fmt(y_px(level))}" '
-                       f'r="4" fill="#ffffff" stroke="#000000" stroke-width="1.2"/>')
+        for n, _ in ov.points:
+            if (cs.x_axis.min <= n <= cs.x_axis.max
+                    and cs.y_axis.min <= ov.level <= cs.y_axis.max):
+                out.append(f'<circle cx="{_fmt(x_px(n))}" cy="{_fmt(y_px(ov.level))}" '
+                           f'r="4" fill="#ffffff" stroke="#000000" stroke-width="1.2"/>')
 
     # Color bar with end labels.
     bar_x = PLOT_R + 18

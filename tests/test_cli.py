@@ -37,10 +37,12 @@ RELATIVISTIC_OVERFLOW = ["relativistic", "--t", "1e300", "--a", "1e300"]
 # A payload so small that the next edition's improvement ratio overflows.
 TINY_RMAX = ("machine,date,benchmark,rpeak_flops,rmax_pflops,cores\n"
              "Summit,2018.0,HPL,,5e-324,\nSummit,2018.5,HPL,,122.3,\n")
-# Rows whose efficiency underflows to 0, or whose serial fraction overflows.
+# Rows whose efficiency underflows to 0 (on 100 cores, then on one), or whose
+# serial fraction overflows.
 UNDERFLOW_EFFICIENCY = ("machine,date,benchmark,rpeak_flops,rmax_flops,cores\n"
                         "X,2019.0,HPL,1e300,1e-300,100\n")
 OVERFLOW_NONPARALLEL = UNDERFLOW_EFFICIENCY.replace("1e-300", "1e-10")
+UNDERFLOW_ONE_CORE = UNDERFLOW_EFFICIENCY.replace(",100\n", ",1\n")
 
 
 def run(capsys, *argv):
@@ -411,7 +413,8 @@ class TestFigure:
     @pytest.mark.parametrize("text,reason", [
         (UNDERFLOW_EFFICIENCY, "efficiency must be in (0, 1], got 0.0"),
         (OVERFLOW_NONPARALLEL, "serial fraction overflows at efficiency 1e-310"),
-    ], ids=["underflow", "overflow"])
+        (UNDERFLOW_ONE_CORE, "efficiency must be in (0, 1], got 0.0"),
+    ], ids=["underflow", "overflow", "underflow-one-core"])
     def test_uninvertible_efficiency_names_the_record(self, capsys, tmp_path,
                                                       text, reason):
         data = tmp_path / "points.csv"
@@ -420,6 +423,32 @@ class TestFigure:
                            "--out", str(tmp_path))
         assert (rc, out) == (2, "")
         assert err == f"error: X (HPL, 2019.0): {reason}\n"
+
+    def test_one_core_record_is_not_overlaid(self, capsys, tmp_path):
+        # one PU gives no serial fraction, so figure 1 has no marker for it
+        data = tmp_path / "points.csv"
+        data.write_text("machine,date,benchmark,rpeak_flops,rmax_flops,cores\n"
+                        "Solo,2019.0,HPL,2e15,1e15,1\n"
+                        "Duo,2019.0,HPCG,2e15,1e15,2\n", encoding="utf-8")
+        rc, out, err = run(capsys, "figure", "1", "--data", str(data),
+                           "--out", str(tmp_path))
+        assert (rc, out, err) == (0, f"{tmp_path / 'fig1.csv'}\n", "")
+        rows = (tmp_path / "fig1.csv").read_text(encoding="utf-8").splitlines()
+        assert [r for r in rows if "measured" in r] == ["HPCG measured,2.0,0.5"]
+
+    @pytest.mark.parametrize("cells,axis", [("5e-324,5e-324", "x"), ("1e15,5e-324", "y")],
+                             ids=["rpeak", "rmax"])
+    def test_figure4_point_at_zero_eflops_is_data_error(self, capsys, tmp_path,
+                                                        cells, axis):
+        # in Eflop/s the value underflows to 0, which a log axis cannot place
+        data = tmp_path / "points.csv"
+        data.write_text("machine,date,benchmark,rpeak_flops,rmax_flops,cores\n"
+                        f"A,2019.0,HPL,{cells},\n", encoding="utf-8")
+        rc, out, err = run(capsys, "figure", "4", "--format", "svg",
+                           "--data", str(data), "--out", str(tmp_path / "out"))
+        assert (rc, out) == (2, "")
+        assert err == f"error: series 'HPL measured' has {axis} <= 0 on a log axis\n"
+        assert not (tmp_path / "out").exists()
 
     def test_machine_without_rmax_is_left_out_with_a_warning(self, capsys, tmp_path):
         data = tmp_path / "two.csv"
@@ -626,12 +655,12 @@ class TestNumericOptionsFuzz:
 
 
 class TestDataFuzz:
-    """Free and mutated ``--data`` files through ``timeline``, ``figure 3``
-    and ``figure 1``, the figures as CSV and SVG."""
+    """Free and mutated ``--data`` files through ``timeline``, ``figure 3``,
+    ``figure 4`` and ``figure 1``, the figures as CSV and SVG."""
 
     @settings(max_examples=300, derandomize=True)
     @given(text=csv_text(), machine=st.sampled_from(["Summit", "Gyoukou", "A"]),
-           figure=st.sampled_from([None, "3"]))
+           figure=st.sampled_from([None, "3", "4"]))
     @example(text=TINY_RMAX, machine="Summit", figure=None)  # ratio overflows
     @example(text=TINY_RMAX.replace("pflops", "flops"), machine="Summit",
              figure="3")  # r_max in Pflop/s underflows to 0 on a log axis
@@ -647,6 +676,7 @@ class TestDataFuzz:
     @given(text=csv_text())
     @example(text=UNDERFLOW_EFFICIENCY)
     @example(text=OVERFLOW_NONPARALLEL)
+    @example(text=UNDERFLOW_ONE_CORE)
     def test_figure1_exit_code_and_finite_output(self, tmp_path_factory, text):
         self._check(tmp_path_factory, text, None, "1")
 

@@ -237,12 +237,23 @@ class TestDerive:
         assert d.efficiency is None
         assert d.nonparallel is None
 
-    @pytest.mark.parametrize("r_max,reason", [
-        (1e-300, "efficiency must be in (0, 1], got 0.0"),  # underflows to 0
-        (1e-10, "serial fraction overflows at efficiency 1e-310"),
+    def test_one_core_keeps_no_serial_fraction(self):
+        r = MachineRecord("X", 2019.0, "HPL", r_peak=2e15, r_max=1e15, cores=1)
+        (d,) = derive([r])
+        assert d.efficiency == 0.5
+        assert d.nonparallel is None
+
+    # the 100-core cases keep their r_max-reason ids
+    @pytest.mark.parametrize("r_max,reason,cores", [
+        pytest.param(1e-300, "efficiency must be in (0, 1], got 0.0", 100,  # underflows
+                     id="1e-300-efficiency must be in (0, 1], got 0.0"),
+        pytest.param(1e-10, "serial fraction overflows at efficiency 1e-310", 100,
+                     id="1e-10-serial fraction overflows at efficiency 1e-310"),
+        pytest.param(1e-300, "efficiency must be in (0, 1], got 0.0", 1,  # no inversion
+                     id="one-core-underflow"),
     ])
-    def test_uninvertible_efficiency_names_the_record(self, r_max, reason):
-        r = MachineRecord("X", 2019.0, "HPL", r_peak=1e300, r_max=r_max, cores=100)
+    def test_uninvertible_efficiency_names_the_record(self, r_max, reason, cores):
+        r = MachineRecord("X", 2019.0, "HPL", r_peak=1e300, r_max=r_max, cores=cores)
         with pytest.raises(ValueError) as exc:
             derive([r])
         assert str(exc.value) == f"X (HPL, 2019.0): {reason}"

@@ -19,7 +19,8 @@ from reference_report import emit_csv as reference_emit_csv
 
 from parascale import ingest, report, svg
 from parascale.contributions import DEFAULT_MACHINE, peak_point, preset
-from parascale.model import LIGHT_SPEED, efficiency_from_nonparallel
+from parascale.model import (LIGHT_SPEED, alpha_from_measurement,
+                             efficiency_from_nonparallel)
 from parascale.report import (AxisSpec, CurveSet, Series, build_figure,
                               emit_csv, emit_svg, fig1_surface, fig3_timeline,
                               fig4_curves, fig5_curves, fig6_panel,
@@ -65,10 +66,13 @@ class TestSurface:
         joined = ingest.join_meta(records, ingest.load_bundled_meta())
         cs = fig1_surface(measured=ingest.derive(joined))
         names = [ov.name for ov in cs.overlays]
-        assert names == ["HPCG measured", "HPL measured"]
+        assert names == sorted(names)
+        assert set(names) == {"HPCG measured", "HPL measured"}
         for ov in cs.overlays:
-            for n, eff in ov.points:
-                assert n >= 2 and 0 < eff <= 1
+            ((n, eff),) = ov.points  # one record per overlay
+            assert n >= 2 and 0 < eff <= 1
+            # placed at the serial fraction derive inverted, not re-solved
+            assert ov.level == alpha_from_measurement(n, eff)
 
 
 def decode_png(data):
@@ -197,6 +201,20 @@ class TestHeatmapImage:
         assert got == pytest.approx([x0, y_hi, x1 - x0, y_lo - y_hi], abs=0.01)
         assert image.get("preserveAspectRatio") == "none"
         assert image.get("clip-path") == "url(#plot)"
+
+    def test_markers_outside_the_plot_are_left_out(self):
+        # markers have no clip path: 1e9 PUs lie right of the canvas, 2e8 PUs
+        # on the colour bar; only the 1e6-PU record is inside the plot
+        records = [ingest.MachineRecord(name, 2019.0, "HPL", r_peak=2e18,
+                                        r_max=r_max, cores=cores)
+                   for name, r_max, cores in (("Big", 2e13, 10**9),
+                                              ("Bar", 2e13, 2 * 10**8),
+                                              ("In", 1e18, 10**6))]
+        cs = fig1_surface(measured=ingest.derive(records))
+        assert all(cs.y_axis.min <= ov.level <= cs.y_axis.max for ov in cs.overlays)
+        circles = list(ET.fromstring(svg.render_svg(cs)).iter(SVG_NS + "circle"))
+        assert [float(c.get("cx")) for c in circles] == [pytest.approx(
+            svg.PLOT_L + 6 / 8 * (svg.PLOT_R - svg.PLOT_L), abs=0.01)]
 
 
 class TestTimelineFigure:
