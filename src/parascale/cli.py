@@ -10,7 +10,9 @@ values accept a unit-prefix suffix (``0.1254E`` means 0.1254 Eflop/s);
 times are seconds, dates fractional years.
 
 Only ``figure`` imports :mod:`parascale.report` (and through it
-:mod:`parascale.svg`), so the other commands start without them.
+:mod:`parascale.svg`), so the other commands start without them.  A figure
+that cannot be built or rendered writes no file: with ``--format svg`` the
+SVG is rendered before either file is opened.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from contextlib import contextmanager
 
 from . import ingest
 from .contributions import (DEFAULT_MACHINE, AlphaDecomposition, MachineModel,
-                            ModelDomainError, peak_point, preset, preset_names,
-                            rmax_of_rpeak)
+                            peak_point, preset, preset_names, rmax_of_rpeak)
 from .model import (FIGURE_IDS, SAMPLES_PER_CURVE, ParallelSystem,
                     PerformancePoint, RelativisticParams,
                     alpha_from_measurement, classic_speed, classic_total_perf,
@@ -61,12 +62,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_overrides(pairs, decomp, machine):
-    """Validate key=value model overrides into the field dicts they name."""
-    # each record field is a key; it maps to the dict its value goes to
-    targets = dict.fromkeys(decomp, decomp)
-    targets.update(dict.fromkeys(machine, machine))
-    for pair in pairs or ():
+def _preset_setup(args):
+    """The preset's decomposition and default machine, ``--override``s applied."""
+    decomp = preset(args.preset).decomposition
+    fields = {**decomp._asdict(), **DEFAULT_MACHINE._asdict()}
+    for pair in args.override or ():
         if "=" not in pair:
             raise UsageError(f"override must be key=value, got {pair!r}")
         key, _, value = pair.partition("=")
@@ -75,18 +75,14 @@ def _parse_overrides(pairs, decomp, machine):
             num = float(value)
         except ValueError:
             raise UsageError(f"override {key}: not a number: {value!r}") from None
-        if key not in targets:
+        if key not in fields:
             raise UsageError(
-                f"unknown override key {key!r}; valid keys: {', '.join(targets)}")
-        targets[key][key] = num
-
-
-def _preset_setup(args):
-    decomp = preset(args.preset).decomposition._asdict()
-    machine = DEFAULT_MACHINE._asdict()
-    _parse_overrides(args.override, decomp, machine)
+                f"unknown override key {key!r}; valid keys: {', '.join(fields)}")
+        fields[key] = num
+    values = list(fields.values())
+    n = len(decomp)  # the table holds the decomposition's fields first
     # rebuilt through the constructors, which validate (_replace would not)
-    return AlphaDecomposition(**decomp), MachineModel(**machine)
+    return AlphaDecomposition(*values[:n]), MachineModel(*values[n:])
 
 
 def _finite_float(text: str) -> float:
@@ -217,15 +213,17 @@ def cmd_figure(args) -> int:
     warnings: list[str] = []
     cs = report.build_figure(fig_id, data_path=args.data, warnings=warnings)
     _print_warnings(warnings)
+    writers = [("csv", lambda sink: report.emit_csv(cs, sink))]
+    if args.format == "svg":
+        # rendered before any file is opened: a figure that fails leaves none
+        svg_text = report.render_svg(cs)
+        writers.append(("svg", lambda sink: sink.write(svg_text)))
     if args.out:  # the default "" is the current directory
         os.makedirs(args.out, exist_ok=True)
-    emitters = [("csv", report.emit_csv)]
-    if args.format == "svg":
-        emitters.append(("svg", report.emit_svg))
-    for ext, emit in emitters:
+    for ext, write in writers:
         path = os.path.join(args.out, f"fig{fig_id}.{ext}")
         with _output(path) as sink:
-            emit(cs, sink)
+            write(sink)
         print(path)
     return 0
 
@@ -322,18 +320,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a reader gone early shows here, not at exit
         return code
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except BrokenPipeError:
         # the reader left (``| head``); per the SIGPIPE note in the Python
         # signal docs, send the exit-time flush to devnull
@@ -342,7 +335,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ingest.ParseError, ModelDomainError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ingest and model errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug: report it without a traceback

@@ -235,10 +235,11 @@ def derive(records: Iterable[MachineRecord]) -> list[DerivedRecord]:
         nonparallel = None
         if r.r_peak is not None and r.r_max is not None:
             eff = r.r_max / r.r_peak
-            try:
-                require_efficiency(eff)  # whatever the core count
+            try:  # each branch checks the efficiency once, whatever the core count
                 if r.cores is not None and r.cores >= 2:
                     nonparallel = alpha_from_measurement(r.cores, eff)
+                else:
+                    require_efficiency(eff)
             except ValueError as exc:
                 raise ValueError(f"{r.machine} ({r.benchmark}, {r.date!r}): "
                                  f"{exc}") from None

@@ -93,15 +93,16 @@ class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays "
                                y2_axis, kind)
 
 
-def _log_bounds(default_lo: float, default_hi: float,
-                values: Iterable[float]) -> tuple[float, float]:
-    """Default log-axis range, widened to whole decades covering the data."""
-    vals = [v for v in values if v > 0]
-    if not vals:
-        return default_lo, default_hi
-    lo = min(default_lo, 10.0 ** math.floor(math.log10(min(vals))))
-    hi = max(default_hi, 10.0 ** math.ceil(math.log10(max(vals))))
-    return lo, hi
+def _log_axis(label: str, unit: str, default_lo: float, default_hi: float,
+              series: Iterable[Series], coord: int = 1) -> AxisSpec:
+    """Log axis over the default range, widened to whole decades covering
+    coordinate ``coord`` (0 for x, 1 for y) of every point of ``series``."""
+    vals = [p[coord] for s in series for p in s.points if p[coord] > 0]
+    lo, hi = default_lo, default_hi
+    if vals:
+        lo = min(lo, 10.0 ** math.floor(math.log10(min(vals))))
+        hi = max(hi, 10.0 ** math.ceil(math.log10(max(vals))))
+    return AxisSpec(label, unit, "log10", lo, hi)
 
 
 def fig1_surface(measured: Sequence[ingest.DerivedRecord] = ()) -> CurveSet:
@@ -151,14 +152,12 @@ def fig3_timeline(records: Sequence[ingest.MachineRecord],
         pts = tuple((date, rmax / 1e15) for date, rmax in entry.points)
         series.append(Series(name=name, points=pts))
     dates = [x for s in series for x, _ in s.points]
-    values = [y for s in series for _, y in s.points]
-    y_lo, y_hi = _log_bounds(0.5, 230.0, values)
     return CurveSet(
         title="Payload performance by year of construction",
         x_axis=AxisSpec("year", "fractional year", "linear",
                         min(2010.0, math.floor(min(dates))),
                         max(2020.0, math.ceil(max(dates)))),
-        y_axis=AxisSpec("R_Max", "Pflop/s", "log10", y_lo, y_hi),
+        y_axis=_log_axis("R_Max", "Pflop/s", 0.5, 230.0, series),
         series=tuple(series),
     )
 
@@ -202,18 +201,11 @@ def fig4_curves(nonparallel_values: Sequence[float] = FIG4_NONPARALLEL,
     overlays = [Series(name=f"{bench} measured", points=tuple(pts))
                 for bench, pts in sorted(groups.items())]
     overlays.append(Series(name="neural-sim", points=(NEURAL_SIM_POINT,)))
-
-    xs = [x for s in series for x, _ in s.points]
-    ys = [y for s in series for _, y in s.points]
-    for ov in overlays:
-        xs += [x for x, _ in ov.points]
-        ys += [y for _, y in ov.points]
-    x_lo, x_hi = _log_bounds(1e-6, 0.5, xs)
-    y_lo, y_hi = _log_bounds(1e-6, 0.3, ys)
+    drawn = (*series, *overlays)
     return CurveSet(
         title="Payload vs nominal performance at fixed serial fractions",
-        x_axis=AxisSpec("R_Peak", "Eflop/s", "log10", x_lo, x_hi),
-        y_axis=AxisSpec("R_Max", "Eflop/s", "log10", y_lo, y_hi),
+        x_axis=_log_axis("R_Peak", "Eflop/s", 1e-6, 0.5, drawn, coord=0),
+        y_axis=_log_axis("R_Max", "Eflop/s", 1e-6, 0.3, drawn),
         series=tuple(series),
         overlays=tuple(overlays),
     )
@@ -223,18 +215,15 @@ def fig5_curves() -> CurveSet:
     """Speed under g from one day to about 32 years, optical densities 1 and 2."""
     lo, hi = 86400.0, 1e9
     series = []
-    values = []
     for n in (1.0, 2.0):
         params = RelativisticParams(density=n)  # accel defaults to g
         pts = tuple((t, relativistic_speed(t, params))
                     for t in logspace(lo, hi, SAMPLES_PER_CURVE))
-        values += [v for _, v in pts]
         series.append(Series(name=f"v(t), n={n:g}", points=pts))
-    y_lo, y_hi = _log_bounds(1e6, 5e8, values)
     return CurveSet(
         title="Relativistic speed under constant acceleration",
         x_axis=AxisSpec("time", "s", "log10", lo, hi),
-        y_axis=AxisSpec("speed", "m/s", "log10", y_lo, y_hi),
+        y_axis=_log_axis("speed", "m/s", 1e6, 5e8, series),
         series=tuple(series),
     )
 
@@ -264,9 +253,10 @@ def fig6_panel(preset_name: str,
         alpha_total_pts.append((x, total))
         rmax_pts.append((x, r_peak * efficiency_from_nonparallel(n, total) / 1e18))
 
-    fractions = [y for _, y in alpha_sw_pts + alpha_os_pts + alpha_total_pts]
-    y_lo, y_hi = _log_bounds(1e-10, 5e-4, fractions)
-    y2_lo, y2_hi = _log_bounds(1e-5, 1.0, [y for _, y in rmax_pts])
+    fractions = (Series(name="alpha_sw", points=tuple(alpha_sw_pts)),
+                 Series(name="alpha_os", points=tuple(alpha_os_pts)),
+                 Series(name="alpha_total", points=tuple(alpha_total_pts)))
+    rmax = Series(name="rmax", points=tuple(rmax_pts), axis="y2")
     overlays = ()
     if p.name in FIG6_MEASURED:
         overlays = (Series(name=f"{p.name} measured",
@@ -274,15 +264,10 @@ def fig6_panel(preset_name: str,
     return CurveSet(
         title=f"Serial-fraction contributions and payload performance ({p.name})",
         x_axis=AxisSpec("R_Peak", "Eflop/s", "log10", lo / 1e18, hi / 1e18),
-        y_axis=AxisSpec("serial fraction (1-alpha)", "", "log10", y_lo, y_hi),
-        series=(
-            Series(name="alpha_sw", points=tuple(alpha_sw_pts)),
-            Series(name="alpha_os", points=tuple(alpha_os_pts)),
-            Series(name="alpha_total", points=tuple(alpha_total_pts)),
-            Series(name="rmax", points=tuple(rmax_pts), axis="y2"),
-        ),
+        y_axis=_log_axis("serial fraction (1-alpha)", "", 1e-10, 5e-4, fractions),
+        series=(*fractions, rmax),
         overlays=overlays,
-        y2_axis=AxisSpec("R_Max", "Eflop/s", "log10", y2_lo, y2_hi),
+        y2_axis=_log_axis("R_Max", "Eflop/s", 1e-5, 1.0, (rmax,)),
     )
 
 

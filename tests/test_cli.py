@@ -450,6 +450,16 @@ class TestFigure:
         assert err == f"error: series 'HPL measured' has {axis} <= 0 on a log axis\n"
         assert not (tmp_path / "out").exists()
 
+    def test_render_error_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        # the SVG is rendered before the directory or either file is made
+        def planted(cs):
+            raise ValueError("planted")
+        monkeypatch.setattr(report, "render_svg", planted)
+        rc, out, err = run(capsys, "figure", "4", "--format", "svg",
+                           "--out", str(tmp_path / "out"))
+        assert (rc, out, err) == (2, "", "error: planted\n")
+        assert not (tmp_path / "out").exists()
+
     def test_machine_without_rmax_is_left_out_with_a_warning(self, capsys, tmp_path):
         data = tmp_path / "two.csv"
         data.write_text("machine,date,benchmark,rpeak_flops,rmax_pflops,cores\n"

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_report import emit_csv as reference_emit_csv
 
-from parascale import ingest, report, svg
+from parascale import cli, ingest, report, svg
 from parascale.contributions import DEFAULT_MACHINE, peak_point, preset
 from parascale.model import (LIGHT_SPEED, alpha_from_measurement,
                              efficiency_from_nonparallel)
@@ -31,6 +31,24 @@ FIGURE_CSV_SHA256 = (Path(__file__).resolve().parent.parent / "bench"
 FIGURE_SVG_SHA256 = Path(__file__).resolve().parent / "figure_svg_sha256.json"
 SVG_NS = "{http://www.w3.org/2000/svg}"
 XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
+
+
+# Each figure id, emitted in memory (id "<id>") and written to files by the
+# command line (id "cli-<id>").
+FIGURE_OUTPUTS = ([pytest.param(i, False, id=i) for i in report.FIGURE_IDS]
+                  + [pytest.param(i, True, id=f"cli-{i}") for i in report.FIGURE_IDS])
+
+
+def figure_bytes(fig_id, ext, via_cli, tmp_path):
+    """The fig<id>.<ext> bytes of `parascale figure <id> --format svg`, read
+    back from the files it writes or emitted into memory."""
+    if via_cli:
+        argv = ["figure", fig_id, "--format", "svg", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        return (tmp_path / f"fig{fig_id}.{ext}").read_bytes()
+    sink = io.StringIO()
+    (emit_csv if ext == "csv" else emit_svg)(build_figure(fig_id), sink)
+    return sink.getvalue().encode("utf-8")
 
 
 def csv_rows(cs):
@@ -233,6 +251,11 @@ class TestTimelineFigure:
         with pytest.raises(ValueError, match="no data"):
             fig3_timeline([])
 
+    def test_y_axis_widens_below_its_default_range(self):
+        # 1e13 flop/s is 0.01 Pflop/s, two decades under the default 0.5
+        cs = fig3_timeline([ingest.MachineRecord("Small", 2019.0, "HPL", r_max=1e13)])
+        assert (cs.y_axis.min, cs.y_axis.max) == (0.01, 230.0)
+
 
 class TestPayloadVsNominal:
     def test_perf_per_pu_from_metadata_join(self):
@@ -273,6 +296,15 @@ class TestPayloadVsNominal:
         assert (0.125, 0.0930) in by_name["HPL measured"]
         assert (0.188, 0.1223) in by_name["HPL measured"]
         assert by_name["neural-sim"] == ((9.83e-6, 8.39e-6),)
+
+    def test_x_axis_widens_below_its_default_range(self):
+        # 1e10 flop/s is 1e-8 Eflop/s, two decades under the default 1e-6
+        small = ingest.MachineRecord("Small", 2019.0, "HPL", r_peak=1e10, r_max=5e9)
+        cs, model_only = fig4_curves(measured=[small]), fig4_curves()
+        assert cs.x_axis.min == 1e-8
+        # the upper ends are those the model lines give without the record
+        assert (cs.x_axis.max, cs.y_axis.max) == (model_only.x_axis.max,
+                                                  model_only.y_axis.max)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -479,24 +511,22 @@ class TestBuildFigure:
         cs = build_figure(fig_id)
         assert cs.series
 
-    @pytest.mark.parametrize("fig_id", report.FIGURE_IDS)
-    def test_csv_bytes_match_frozen_digests(self, fig_id):
+    @pytest.mark.parametrize("fig_id,via_cli", FIGURE_OUTPUTS)
+    def test_csv_bytes_match_frozen_digests(self, fig_id, via_cli, tmp_path):
         # digests of `parascale figure <id>` output, kept with the benchmark
         frozen = json.loads(FIGURE_CSV_SHA256.read_text(encoding="utf-8"))
-        sink = io.StringIO()
-        emit_csv(build_figure(fig_id), sink)
-        digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
-        assert digest == frozen[fig_id]
+        data = figure_bytes(fig_id, "csv", via_cli, tmp_path)
+        assert hashlib.sha256(data).hexdigest() == frozen[fig_id]
 
-    @pytest.mark.parametrize("fig_id", report.FIGURE_IDS)
-    def test_svg_bytes_match_frozen_digests(self, fig_id):
+    @pytest.mark.parametrize("fig_id,via_cli", FIGURE_OUTPUTS)
+    def test_svg_bytes_match_frozen_digests(self, fig_id, via_cli, tmp_path):
         # frozen digests of `parascale figure <id> --format svg`.  The PNG
         # bytes of figure 1 depend on the zlib build, so its data: URI is cut
         # out; test_pixels_follow_the_colour_ramp checks its pixels instead
         frozen = json.loads(FIGURE_SVG_SHA256.read_text(encoding="utf-8"))
-        sink = io.StringIO()
-        emit_svg(build_figure(fig_id), sink)
-        text = re.sub(r'"data:image/png;base64,[^"]*"', '"data:"', sink.getvalue())
+        data = figure_bytes(fig_id, "svg", via_cli, tmp_path)
+        text = re.sub(r'"data:image/png;base64,[^"]*"', '"data:"',
+                      data.decode("utf-8"))
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == frozen[fig_id]
 
