@@ -5,9 +5,10 @@ stderr.  Exit code 0 on success, 1 on usage errors, 2 on data or model
 errors, and 2 on an internal error (a bug, reported as ``internal error:``
 without a traceback unless ``PARASCALE_DEBUG=1``); a reader that closes
 stdout early (``| head``) ends the run quietly with 0, as the reader's own
-exit status reports its failures.  Performance
-values accept a unit-prefix suffix (``0.1254E`` means 0.1254 Eflop/s);
-times are seconds, dates fractional years.
+exit status reports its failures.  Performance values accept a unit-prefix
+suffix (``0.1254E`` means 0.1254 Eflop/s); times are seconds, dates
+fractional years.  ``predict`` takes either ``--preset/--rpeak[/--override]``
+or ``--n/--p/--alpha``, not both.
 
 Only ``figure`` imports :mod:`parascale.report` (and through it
 :mod:`parascale.svg`), so the other commands start without them.  A figure
@@ -110,6 +111,14 @@ def _print_point(point: PerformancePoint, unit: str | None) -> None:
 
 
 def cmd_predict(args) -> int:
+    if args.preset is None and None in (args.n, args.p, args.alpha):
+        raise UsageError("predict needs either --preset/--rpeak or --n/--p/--alpha")
+    # each mode refuses the other's options, which it would ignore
+    mode, other = (("--preset", ("n", "p", "alpha")) if args.preset is not None
+                   else ("--n/--p/--alpha", ("rpeak", "override")))
+    stray = [f"--{name}" for name in other if getattr(args, name) is not None]
+    if stray:
+        raise UsageError(f"predict {mode} does not take {', '.join(stray)}")
     if args.preset is not None:
         if args.rpeak is None:
             raise UsageError("predict --preset needs --rpeak")
@@ -128,8 +137,6 @@ def cmd_predict(args) -> int:
                 f"PUs reduces delivered performance", file=sys.stderr)
         _print_point(point, args.unit)
         return 0
-    if args.n is None or args.p is None or args.alpha is None:
-        raise UsageError("predict needs either --preset/--rpeak or --n/--p/--alpha")
     if not 0.0 <= args.alpha <= 1.0:
         raise UsageError(f"--alpha must be in [0, 1], got {args.alpha}")
     if args.n < 1:

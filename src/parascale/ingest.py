@@ -272,7 +272,7 @@ def machine_names(records: Iterable[MachineRecord]) -> list[str]:
 
 
 def load_meta(source: io.TextIOBase | str) -> dict[str, dict[str, float]]:
-    """Load the machine metadata table (machine, cores, rpeak_flops).
+    """Load the machine metadata table: whole ``cores`` and ``rpeak_flops``.
 
     This is the externally sourced join data kept apart from measurement
     files so the measured values stay auditable on their own.
@@ -280,13 +280,13 @@ def load_meta(source: io.TextIOBase | str) -> dict[str, dict[str, float]]:
     if isinstance(source, str):
         source = io.StringIO(source)
     meta: dict[str, dict[str, float]] = {}
-    header: list[str] | None = None
-    for line, row in _non_comment_rows(source):
-        if header is None:
-            header = [c.strip().lower() for c in row]
-            if header != ["machine", "cores", "rpeak_flops"]:
-                raise ParseError(line, ",".join(row), "bad metadata header")
-            continue
+    rows = _non_comment_rows(source)
+    first = next(rows, None)
+    if first is None:
+        return meta
+    if [c.strip().lower() for c in first[1]] != ["machine", "cores", "rpeak_flops"]:
+        raise ParseError(first[0], ",".join(first[1]), "bad metadata header")
+    for line, row in rows:
         if len(row) != 3:
             raise ParseError(line, "*", f"expected 3 cells, got {len(row)}")
         cores = _parse_cores(row[1].strip(), line)
@@ -295,7 +295,7 @@ def load_meta(source: io.TextIOBase | str) -> dict[str, dict[str, float]]:
             raise ParseError(line, "*", "metadata cells must not be empty")
         if cores < 1:
             raise ParseError(line, "cores", f"cores must be >= 1, got {cores}")
-        meta[row[0].strip()] = {"cores": float(cores), "rpeak_flops": r_peak}
+        meta[row[0].strip()] = {"cores": cores, "rpeak_flops": r_peak}
     return meta
 
 
@@ -318,7 +318,7 @@ def join_meta(records: Iterable[MachineRecord],
             out.append(MachineRecord(
                 r.machine, r.date, r.benchmark, r_max=r.r_max,
                 r_peak=r.r_peak if r.r_peak is not None else m["rpeak_flops"],
-                cores=r.cores if r.cores is not None else int(m["cores"])))
+                cores=r.cores if r.cores is not None else m["cores"]))
         except PayloadExceedsPeak as exc:
             raise PayloadExceedsPeak(
                 f"{r.machine}: {exc} (r_peak from machines_meta.csv)") from None

@@ -35,10 +35,12 @@ FIG1_N_RANGE = (1.0, 1e8)
 FIG1_NONPARALLEL_RANGE = (1e-8, 1e-2)
 FIG1_ROWS = 64
 
-#: Default serial fractions for the payload-vs-nominal chart; the first and
-#: fourth are the values measured for Taihulight with HPL and HPCG.
+#: Serial fractions of the payload-vs-nominal chart; the first and fourth
+#: are the values measured for Taihulight with HPL and HPCG.
 FIG4_NONPARALLEL = (3.3e-8, 5e-7, 1e-5, 2.4e-5, 1e-4, 1.5e-3)
 _FIG4_LABELS = {3.3e-8: "HPL", 2.4e-5: "HPCG"}
+#: Nominal performance each figure 4 line spans (flop/s).
+FIG4_RPEAK_RANGE = (1e12, 5e17)
 
 #: Measured payload performance of a processor-based neural simulation run,
 #: overlaid on figure 4 (exaflop/s).
@@ -46,6 +48,8 @@ NEURAL_SIM_POINT = (9.83e-6, 8.39e-6)
 
 #: Measured reference points for the decomposition panels (exaflop/s).
 FIG6_MEASURED = {"HPL": (0.00587, 0.005), "HPCG": (0.00587, 0.000095)}
+#: Nominal performance the decomposition panels span: ``sweep``'s defaults.
+FIG6_RPEAK_RANGE = (1e15, 1.1e18)
 
 
 class AxisSpec(namedtuple("AxisSpec", "label unit scale min max")):
@@ -168,27 +172,19 @@ def taihulight_perf_per_pu() -> float:
     return meta["rpeak_flops"] / meta["cores"]
 
 
-def fig4_curves(nonparallel_values: Sequence[float] = FIG4_NONPARALLEL,
-                rpeak_range: tuple[float, float] = (1e12, 5e17),
-                measured: Sequence[ingest.MachineRecord] = (),
-                ) -> CurveSet:
+def fig4_curves(measured: Sequence[ingest.MachineRecord] = ()) -> CurveSet:
     """Payload vs nominal performance lines at constant serial fractions.
 
     The per-PU performance comes from the Taihulight metadata join (about
     11.78 Gflop/s), so the measured Taihulight points fall on their own
     model lines.  Axes are in exaflop/s like the measured data.
     """
-    if any(v <= 0 for v in nonparallel_values):
-        raise ValueError("serial fractions must be > 0")
-    lo, hi = rpeak_range
-    if not 0 < lo < hi:
-        raise ValueError(f"invalid rpeak range [{lo}, {hi}]")
     perf_per_pu = taihulight_perf_per_pu()
     series = []
-    for beta in nonparallel_values:
+    for beta in FIG4_NONPARALLEL:
         pts = []
-        for r_peak in logspace(lo, hi, SAMPLES_PER_CURVE):
-            n = max(r_peak / perf_per_pu, 1.0)
+        for r_peak in logspace(*FIG4_RPEAK_RANGE, SAMPLES_PER_CURVE):
+            n = r_peak / perf_per_pu  # >= 84 PUs over the whole range
             eff = efficiency_from_nonparallel(n, beta)
             pts.append((r_peak / 1e18, r_peak * eff / 1e18))
         label = _FIG4_LABELS.get(beta, f"{beta:g}")
@@ -228,8 +224,7 @@ def fig5_curves() -> CurveSet:
     )
 
 
-def fig6_panel(preset_name: str,
-               rpeak_range: tuple[float, float] = (1e15, 1.1e18)) -> CurveSet:
+def fig6_panel(preset_name: str) -> CurveSet:
     """Serial-fraction contributions (left axis) and payload curve (right).
 
     Series ``alpha_sw``, ``alpha_os`` and ``alpha_total`` are dimensionless
@@ -239,7 +234,7 @@ def fig6_panel(preset_name: str,
     """
     p = preset(preset_name)
     d = p.decomposition
-    lo, hi = rpeak_range
+    lo, hi = FIG6_RPEAK_RANGE
     alpha_sw_pts = []
     alpha_os_pts = []
     alpha_total_pts = []

@@ -108,6 +108,7 @@ def render_svg(cs) -> str:
 
     x_px = _scale(cs.x_axis, PLOT_L, PLOT_R)
     y_px = _scale(cs.y_axis, PLOT_B, PLOT_T)
+    y2_px = _scale(cs.y2_axis, PLOT_B, PLOT_T) if cs.y2_axis is not None else None
 
     # Frame, x ticks and labels (shared by both kinds).
     for v in _ticks(cs.x_axis):
@@ -126,7 +127,7 @@ def render_svg(cs) -> str:
     if cs.kind == "heatmap":
         _render_heatmap(cs, out, x_px, y_px)
     else:
-        _render_lines(cs, out, x_px, y_px)
+        _render_lines(cs, out, x_px, y_px, y2_px)
 
     # Frame on top of data.
     out.append(f'<rect x="{PLOT_L}" y="{PLOT_T}" width="{PLOT_R - PLOT_L}" '
@@ -139,8 +140,7 @@ def render_svg(cs) -> str:
     out.append(f'<text x="22" y="{mid_y:.1f}" text-anchor="middle" font-size="14" '
                f'{_FONT} transform="rotate(-90 22 {mid_y:.1f})">'
                f'{_escape(_axis_title(cs.y_axis))}</text>')
-    if cs.y2_axis is not None:
-        y2_px = _scale(cs.y2_axis, PLOT_B, PLOT_T)
+    if y2_px is not None:
         for v in _ticks(cs.y2_axis):
             py = y2_px(v)
             out.append(f'<text x="{PLOT_R + 8}" y="{_fmt(py + 4)}" '
@@ -155,44 +155,31 @@ def render_svg(cs) -> str:
     return "\n".join(out) + "\n"
 
 
-def _render_lines(cs, out, x_px, y_px) -> None:
-    y2_px = _scale(cs.y2_axis, PLOT_B, PLOT_T) if cs.y2_axis is not None else None
-    color_i = 0
-    legend: list[tuple[str, str, str]] = []  # (label, color, marker)
+def _render_lines(cs, out, x_px, y_px, y2_px) -> None:
+    legend: list[str] = []  # drawn after all the data, series first
     x_strs: dict[float, str] = {}  # pixel x per x value; the series share their xs
-
-    for s in cs.series:
-        color = PALETTE[color_i % len(PALETTE)]
-        color_i += 1
-        to_y = y2_px if (s.axis == "y2" and y2_px is not None) else y_px
-        pts = " ".join(f"{x_strs.get(x) or x_strs.setdefault(x, _fmt(x_px(x)))},"
-                       f"{_fmt(to_y(y))}" for x, y in s.points)
-        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
-                   f'clip-path="url(#plot)" points="{pts}"/>')
-        legend.append((s.name, color, "line"))
-
-    for ov in cs.overlays:
-        color = PALETTE[color_i % len(PALETTE)]
-        color_i += 1
-        to_y = y2_px if (ov.axis == "y2" and y2_px is not None) else y_px
-        for x, y in ov.points:
-            out.append(f'<circle cx="{_fmt(x_px(x))}" cy="{_fmt(to_y(y))}" r="3.5" '
-                       f'fill="{color}" stroke="#000000" stroke-width="0.6" '
-                       f'clip-path="url(#plot)"/>')
-        legend.append((ov.name, color, "dot"))
-
     lx = PLOT_L + 12
-    ly = PLOT_T + 16
-    for label, color, marker in legend:
-        if marker == "line":
-            out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-                       f'stroke="{color}" stroke-width="2.5"/>')
+    for i, s in enumerate((*cs.series, *cs.overlays)):
+        color = PALETTE[i % len(PALETTE)]
+        to_y = y2_px if (s.axis == "y2" and y2_px is not None) else y_px
+        ly = PLOT_T + 16 + 17 * i
+        if i < len(cs.series):  # a series is a line, an overlay dots
+            pts = " ".join(f"{x_strs.get(x) or x_strs.setdefault(x, _fmt(x_px(x)))},"
+                           f"{_fmt(to_y(y))}" for x, y in s.points)
+            out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
+                       f'clip-path="url(#plot)" points="{pts}"/>')
+            legend.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+                          f'stroke="{color}" stroke-width="2.5"/>')
         else:
-            out.append(f'<circle cx="{lx + 11}" cy="{ly - 4}" r="3.5" '
-                       f'fill="{color}" stroke="#000000" stroke-width="0.6"/>')
-        out.append(f'<text x="{lx + 28}" y="{ly}" font-size="12" {_FONT}>'
-                   f'{_escape(label)}</text>')
-        ly += 17
+            for x, y in s.points:
+                out.append(f'<circle cx="{_fmt(x_px(x))}" cy="{_fmt(to_y(y))}" r="3.5" '
+                           f'fill="{color}" stroke="#000000" stroke-width="0.6" '
+                           f'clip-path="url(#plot)"/>')
+            legend.append(f'<circle cx="{lx + 11}" cy="{ly - 4}" r="3.5" '
+                          f'fill="{color}" stroke="#000000" stroke-width="0.6"/>')
+        legend.append(f'<text x="{lx + 28}" y="{ly}" font-size="12" {_FONT}>'
+                      f'{_escape(s.name)}</text>')
+    out.extend(legend)
 
 
 def _rgb(ts: Iterable[float]) -> bytes:

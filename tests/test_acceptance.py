@@ -96,7 +96,8 @@ def test_c3_summit_timeline_ratios(capsys):
 
 def test_c4_payload_curve_breakdown(capsys):
     start = time.perf_counter()
-    cs = report.fig6_panel("HPL", rpeak_range=(1e15, 1.1e18))
+    assert report.FIG6_RPEAK_RANGE == (1e15, 1.1e18)
+    cs = report.fig6_panel("HPL")
     rmax = next(s for s in cs.series if s.name == "rmax")
     points = list(rmax.points)
     peak_i, (peak_x, peak_y) = max(enumerate(points), key=lambda p: p[1][1])

@@ -240,6 +240,18 @@ class TestPredict:
         rc, _, _ = run(capsys, "predict", "--n", "4")
         assert rc == 1
 
+    def test_explicit_system_refuses_preset_options(self, capsys):
+        rc, out, err = run(capsys, "predict", "--n", "1e6", "--p", "100G",
+                           "--alpha", "0.999999", "--override", "bogus=1")
+        assert (rc, out) == (1, "")
+        assert err == "usage error: predict --n/--p/--alpha does not take --override\n"
+
+    def test_preset_refuses_explicit_system_options(self, capsys):
+        rc, out, err = run(capsys, "predict", "--preset", "HPL", "--rpeak", "0.5E",
+                           "--n", "5", "--alpha", "2")
+        assert (rc, out) == (1, "")
+        assert err == "usage error: predict --preset does not take --n, --alpha\n"
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "predict", "--preset", "HPCG", "--rpeak", "0.01E")
         _, second, _ = run(capsys, "predict", "--preset", "HPCG", "--rpeak", "0.01E")

@@ -340,8 +340,16 @@ class TestMeta:
                                   "1.25436e+17 (r_peak from machines_meta.csv)")
 
     def test_bad_meta_header(self):
-        with pytest.raises(ParseError):
-            load_meta("machine,cpus,rpeak_flops\nX,1,1e12\n")
+        with pytest.raises(ParseError) as exc:
+            load_meta("# comment\n\nmachine,cpus,rpeak_flops\nX,1,1e12\n")
+        assert (exc.value.line, exc.value.column) == (3, "machine,cpus,rpeak_flops")
+        assert load_meta("# no header, no rows\n") == {}
+
+    def test_meta_cores_are_whole_counts(self):
+        meta = load_meta("machine,cores,rpeak_flops\nX,1.2e3,1e12\n")
+        assert type(meta["X"]["cores"]) is int
+        (joined,) = join_meta([MachineRecord("X", 2019.0, "HPL", r_max=1e11)], meta)
+        assert type(joined.cores) is int and joined.cores == 1200
 
     @pytest.mark.parametrize("column,row", [
         ("cores", "X,abc,1e12"),
