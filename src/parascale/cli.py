@@ -8,7 +8,8 @@ stdout early (``| head``) ends the run quietly with 0, as the reader's own
 exit status reports its failures.  Performance values accept a unit-prefix
 suffix (``0.1254E`` means 0.1254 Eflop/s); times are seconds, dates
 fractional years.  ``predict`` takes either ``--preset/--rpeak[/--override]``
-or ``--n/--p/--alpha``, not both.
+or ``--n/--p/--alpha``, not both; ``--p <= 0`` and ``--rpeak`` below one PU
+are usage errors.
 
 Only ``figure`` imports :mod:`parascale.report` (and through it
 :mod:`parascale.svg`), so the other commands start without them.  A figure
@@ -123,7 +124,11 @@ def cmd_predict(args) -> int:
         if args.rpeak is None:
             raise UsageError("predict --preset needs --rpeak")
         d, m = _preset_setup(args)
-        point = rmax_of_rpeak(_flops(args.rpeak, "--rpeak"), m, d)
+        r_peak = _flops(args.rpeak, "--rpeak")
+        if r_peak < m.perf_per_pu:
+            raise UsageError(f"--rpeak must be at least one PU "
+                             f"({m.perf_per_pu:.6g} flop/s), got {r_peak:.6g}")
+        point = rmax_of_rpeak(r_peak, m, d)
         try:
             peak = peak_point(m, d)
         except ValueError:  # no interior maximum, so no peak to be past
@@ -141,7 +146,10 @@ def cmd_predict(args) -> int:
         raise UsageError(f"--alpha must be in [0, 1], got {args.alpha}")
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    system = ParallelSystem(args.n, _flops(args.p, "--p"), args.alpha)
+    perf_single = _flops(args.p, "--p")
+    if perf_single <= 0:
+        raise UsageError(f"--p must be > 0, got {args.p}")
+    system = ParallelSystem(args.n, perf_single, args.alpha)
     r_peak = classic_total_perf(system)
     if not math.isfinite(r_peak):
         raise ValueError(f"--n * --p overflows: "
@@ -174,12 +182,13 @@ def cmd_sweep(args) -> int:
         raise UsageError("need perf_per_pu <= --rpeak-min < --rpeak-max")
     if args.points < 2:
         raise UsageError("--points must be >= 2")
-    # every point is computed before any output, so a model error leaves none
-    points = [rmax_of_rpeak(r_peak, m, d)
-              for r_peak in logspace(lo, hi, args.points)]
+    # an error leaves no row: the serial fraction grows with N, so the end fails first
+    rmax_of_rpeak(hi, m, d)
     with _output(args.out) as sink:
         sink.write("rpeak_flops,rmax_flops,efficiency\n")
-        sink.writelines(f"{p.r_peak!r},{p.r_max!r},{p.efficiency!r}\n" for p in points)
+        for r_peak in logspace(lo, hi, args.points):
+            p = rmax_of_rpeak(r_peak, m, d)
+            sink.write(f"{p.r_peak!r},{p.r_max!r},{p.efficiency!r}\n")
     return 0
 
 

@@ -30,10 +30,6 @@ from .model import PerformancePoint, efficiency_from_nonparallel, require_finite
 class ModelDomainError(ValueError):
     """Raised when an evaluation leaves the model's validity region."""
 
-    def __init__(self, message: str, n_proc: float):
-        super().__init__(message)
-        self.n_proc = n_proc
-
 
 class AlphaDecomposition(namedtuple("AlphaDecomposition", "alpha_sw ctx_switch_clocks "
                                     "total_clocks loop_clocks_per_pu bio_factor")):
@@ -72,7 +68,7 @@ class MachineModel(namedtuple("MachineModel", "perf_per_pu")):
 
     __slots__ = ()
 
-    def __new__(cls, perf_per_pu: float = 100e9):
+    def __new__(cls, perf_per_pu: float):
         self = super().__new__(cls, perf_per_pu)
         require_finite(self)
         if perf_per_pu <= 0:
@@ -138,7 +134,7 @@ def alpha_total(n_proc: float, d: AlphaDecomposition) -> float:
     if total >= 1.0:
         raise ModelDomainError(
             f"serial fraction {total:.6g} >= 1 at N={n_proc:.6g}: "
-            f"outside model validity", n_proc)
+            f"outside model validity")
     return total
 
 
@@ -160,14 +156,8 @@ def rmax_of_rpeak(r_peak: float, m: MachineModel,
     return PerformancePoint(r_peak=r_peak, r_max=r_peak * eff, efficiency=eff)
 
 
-class PeakPoint(namedtuple("PeakPoint", "n_star r_peak_star r_max_star "
-                                         "n_star_int r_max_star_int")):
-    """Interior maximum of the R_Max(R_Peak) curve.
-
-    ``n_star`` is the continuous maximizer; ``n_star_int`` is whichever of
-    its two neighbouring integers inside the validity bound delivers the
-    higher payload performance (an int).
-    """
+class PeakPoint(namedtuple("PeakPoint", "n_star r_peak_star r_max_star")):
+    """Interior maximum of the R_Max(R_Peak) curve at the continuous N*."""
 
     __slots__ = ()
 
@@ -175,36 +165,19 @@ class PeakPoint(namedtuple("PeakPoint", "n_star r_peak_star r_max_star "
 def peak_point(m: MachineModel, d: AlphaDecomposition) -> PeakPoint:
     """Locate the PU count where payload performance turns over.
 
-    The maximizer is the closed form :func:`analytic_peak_n`; the payload
-    is evaluated there and at its integer neighbours with
-    :func:`rmax_of_rpeak`.  A neighbour past the validity bound N*^2
-    (possible only when N* <= sqrt(2)) is not chosen.  ValueError ("no
-    finite interior maximum") is raised, as by :func:`analytic_peak_n`, when
-    the nominal performance N* * perf_per_pu is not a finite float.
+    The maximizer is the closed form :func:`analytic_peak_n`, inside the
+    validity bound N*^2 since N* > 1, and the payload there is
+    :func:`rmax_of_rpeak`'s.  ValueError ("no finite interior maximum") is
+    raised, as by :func:`analytic_peak_n`, when the nominal performance
+    N* * perf_per_pu is not a finite float.
     """
     n_star = analytic_peak_n(d)
-    if not math.isfinite(n_star * m.perf_per_pu):
+    r_peak_star = n_star * m.perf_per_pu
+    if not math.isfinite(r_peak_star):
         raise ValueError(f"no finite interior maximum: N* = {n_star:.6g} PUs "
                          f"of {m.perf_per_pu:.6g} flop/s overflow r_peak")
-
-    def payload(n: float) -> float:
-        return rmax_of_rpeak(n * m.perf_per_pu, m, d).r_max
-
-    n_int = math.floor(n_star)  # >= 1, since n_star > 1
-    r_int = payload(n_int)
-    try:
-        r_next = payload(n_int + 1)
-    except ModelDomainError:
-        r_next = -math.inf
-    if r_next > r_int:
-        n_int, r_int = n_int + 1, r_next
-    return PeakPoint(
-        n_star=n_star,
-        r_peak_star=n_star * m.perf_per_pu,
-        r_max_star=payload(n_star),
-        n_star_int=n_int,
-        r_max_star_int=r_int,
-    )
+    return PeakPoint(n_star=n_star, r_peak_star=r_peak_star,
+                     r_max_star=rmax_of_rpeak(r_peak_star, m, d).r_max)
 
 
 def analytic_peak_n(d: AlphaDecomposition) -> float:

@@ -81,7 +81,7 @@ class DerivedRecord(namedtuple("DerivedRecord", "record efficiency nonparallel")
     __slots__ = ()
 
 
-class TimelineEntry(namedtuple("TimelineEntry", "machine points ratios")):
+class TimelineEntry(namedtuple("TimelineEntry", "points ratios")):
     """A machine's (date, r_max) ``points`` in date order and their ``ratios``."""
 
     __slots__ = ()
@@ -260,7 +260,7 @@ def timeline(records: Iterable[MachineRecord], machine: str) -> TimelineEntry:
     ratios = tuple(b[1] / a[1] for a, b in zip(points, points[1:]))
     if math.inf in ratios:  # a sub-normal r_max before a normal one
         raise ValueError(f"r_max ratio of machine {machine!r} overflows")
-    return TimelineEntry(machine=machine, points=points, ratios=ratios)
+    return TimelineEntry(points=points, ratios=ratios)
 
 
 def machine_names(records: Iterable[MachineRecord]) -> list[str]:

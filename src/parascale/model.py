@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
+from itertools import chain
 
 #: Speed of light in vacuum, m/s.
 LIGHT_SPEED = 299_792_458.0
@@ -38,15 +40,16 @@ SAMPLES_PER_CURVE = 512
 FIGURE_IDS = ("1", "3", "4", "5", "6A", "6B", "6C")
 
 
-def logspace(lo: float, hi: float, n: int) -> list[float]:
-    """``n`` log-uniform samples from ``lo`` to ``hi``, both ends exact."""
+def logspace(lo: float, hi: float, n: int) -> Iterator[float]:
+    """``n`` log-uniform samples from ``lo`` to ``hi``, both ends exact; the
+    arguments are checked on the call, the samples made one at a time."""
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
     if n < 2:
         raise ValueError("need at least 2 samples")
     a, b = math.log10(lo), math.log10(hi)
-    return [lo] + [10.0 ** (a + (b - a) * i / (n - 1))
-                   for i in range(1, n - 1)] + [hi]
+    return chain((lo,), (10.0 ** (a + (b - a) * i / (n - 1))
+                         for i in range(1, n - 1)), (hi,))
 
 
 def require_finite(record) -> None:
@@ -98,19 +101,16 @@ class ParallelSystem(namedtuple("ParallelSystem",
                    nonparallel=nonparallel)
 
 
-class RelativisticParams(namedtuple("RelativisticParams", "accel light_speed density")):
-    """Constant acceleration, limiting speed and optical density."""
+class RelativisticParams(namedtuple("RelativisticParams", "accel density")):
+    """Constant acceleration and the optical density of the medium."""
 
     __slots__ = ()
 
-    def __new__(cls, accel: float = 9.81, light_speed: float = LIGHT_SPEED,
-                density: float = 1.0):
-        self = super().__new__(cls, accel, light_speed, density)
+    def __new__(cls, accel: float = 9.81, density: float = 1.0):
+        self = super().__new__(cls, accel, density)
         require_finite(self)
         if accel <= 0:
             raise ValueError(f"accel must be > 0, got {accel}")
-        if light_speed <= 0:
-            raise ValueError(f"light_speed must be > 0, got {light_speed}")
         if density < 1:
             raise ValueError(f"density must be >= 1, got {density}")
         return self
@@ -118,7 +118,7 @@ class RelativisticParams(namedtuple("RelativisticParams", "accel light_speed den
     @property
     def limit_speed(self) -> float:
         """Asymptotic speed c/n."""
-        return self.light_speed / self.density
+        return LIGHT_SPEED / self.density
 
 
 class PerformancePoint(namedtuple("PerformancePoint", "r_peak r_max efficiency")):

@@ -73,15 +73,14 @@ class Series(namedtuple("Series", "name points axis level", defaults=("y", None)
     __slots__ = ()
 
 
-class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays "
-                                      "y2_axis kind")):
-    """A figure's series and overlays; ``kind`` is "lines" or "heatmap"."""
+class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_axis")):
+    """A figure's series and overlays; a heat map when its series carry a ``level``."""
 
     __slots__ = ()
 
     def __new__(cls, title: str, x_axis: AxisSpec, y_axis: AxisSpec,
                 series: tuple[Series, ...], overlays: tuple[Series, ...] = (),
-                y2_axis: AxisSpec | None = None, kind: str = "lines"):
+                y2_axis: AxisSpec | None = None):
         if not series:
             raise ValueError("curve set needs at least one series")
         for s in (*series, *overlays):  # both are drawn on these axes
@@ -90,11 +89,11 @@ class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays "
             if x_axis.scale == "log10" and any(x <= 0 for x, _ in s.points):
                 raise ValueError(f"series {s.name!r} has x <= 0 on a log axis")
             y_spec = y2_axis if (s.axis == "y2" and y2_axis) else y_axis
-            if (kind == "lines" and y_spec.scale == "log10"
+            # a point with a level is drawn at that level, not at its y
+            if (s.level is None and y_spec.scale == "log10"
                     and any(y <= 0 for _, y in s.points)):
                 raise ValueError(f"series {s.name!r} has y <= 0 on a log axis")
-        return super().__new__(cls, title, x_axis, y_axis, series, overlays,
-                               y2_axis, kind)
+        return super().__new__(cls, title, x_axis, y_axis, series, overlays, y2_axis)
 
 
 def _log_axis(label: str, unit: str, default_lo: float, default_hi: float,
@@ -117,7 +116,7 @@ def fig1_surface(measured: Sequence[ingest.DerivedRecord] = ()) -> CurveSet:
     :func:`ingest.derive` inverted is one overlay: its (cores, efficiency)
     point, at the serial fraction ``derive`` found as its ``level``.
     """
-    ns = logspace(*FIG1_N_RANGE, SAMPLES_PER_CURVE)
+    ns = tuple(logspace(*FIG1_N_RANGE, SAMPLES_PER_CURVE))  # shared by all rows
     series = []
     for beta in logspace(*FIG1_NONPARALLEL_RANGE, FIG1_ROWS):
         # efficiency_from_nonparallel inline: the grid constants keep n >= 1, beta > 0
@@ -135,7 +134,6 @@ def fig1_surface(measured: Sequence[ingest.DerivedRecord] = ()) -> CurveSet:
                         *FIG1_NONPARALLEL_RANGE),
         series=tuple(series),
         overlays=overlays,
-        kind="heatmap",
     )
 
 

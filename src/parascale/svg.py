@@ -92,7 +92,7 @@ def _axis_title(spec) -> str:
 
 
 def render_svg(cs) -> str:
-    """Render a CurveSet (lines or heatmap kind) to an SVG document string."""
+    """Render a CurveSet to SVG: a heat map if its series carry a ``level``."""
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8" standalone="no"?>')
     out.append(
@@ -110,7 +110,7 @@ def render_svg(cs) -> str:
     y_px = _scale(cs.y_axis, PLOT_B, PLOT_T)
     y2_px = _scale(cs.y2_axis, PLOT_B, PLOT_T) if cs.y2_axis is not None else None
 
-    # Frame, x ticks and labels (shared by both kinds).
+    # Frame, x ticks and labels (shared by both chart types).
     for v in _ticks(cs.x_axis):
         px = x_px(v)
         out.append(f'<line x1="{_fmt(px)}" y1="{PLOT_T}" x2="{_fmt(px)}" '
@@ -124,7 +124,7 @@ def render_svg(cs) -> str:
         out.append(f'<text x="{PLOT_L - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
                    f'font-size="12" {_FONT}>{_tick_label(v)}</text>')
 
-    if cs.kind == "heatmap":
+    if cs.series[0].level is not None:
         _render_heatmap(cs, out, x_px, y_px)
     else:
         _render_lines(cs, out, x_px, y_px, y2_px)

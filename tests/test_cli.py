@@ -252,6 +252,18 @@ class TestPredict:
         assert (rc, out) == (1, "")
         assert err == "usage error: predict --preset does not take --n, --alpha\n"
 
+    def test_non_positive_per_pu_performance_is_usage_error(self, capsys):
+        rc, out, err = run(capsys, "predict", "--n", "1e6", "--p", "0",
+                           "--alpha", "0.5")
+        assert (rc, out) == (1, "")
+        assert err == "usage error: --p must be > 0, got 0\n"
+
+    def test_rpeak_below_one_pu_is_usage_error(self, capsys):
+        rc, out, err = run(capsys, "predict", "--preset", "HPL", "--rpeak", "50G")
+        assert (rc, out) == (1, "")
+        assert err == ("usage error: --rpeak must be at least one PU "
+                       "(1e+11 flop/s), got 5e+10\n")
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "predict", "--preset", "HPCG", "--rpeak", "0.01E")
         _, second, _ = run(capsys, "predict", "--preset", "HPCG", "--rpeak", "0.01E")
@@ -277,6 +289,33 @@ class TestSweep:
         rc, out, err = run(capsys, "sweep", "--preset", "NN", "--rpeak-max", "500E")
         assert (rc, out) == (2, "")
         assert "outside model validity" in err
+
+    def test_model_error_is_found_at_the_end_and_writes_no_file(self, capsys,
+                                                               tmp_path):
+        path = tmp_path / "f.csv"
+        rc, out, err = run(capsys, "sweep", "--preset", "NN", "--rpeak-max", "500E",
+                           "-o", str(path))
+        assert (rc, out) == (2, "")
+        assert err == ("error: serial fraction 1.25 >= 1 at N=5e+09: "
+                       "outside model validity\n")
+        assert not path.exists()
+
+    def test_rows_are_written_as_they_are_computed(self, monkeypatch):
+        out = io.StringIO()
+        written = []  # stdout length at each model evaluation
+
+        def spy(r_peak, m, d):
+            written.append(len(out.getvalue()))
+            return rmax_of_rpeak(r_peak, m, d)
+
+        rmax_of_rpeak = cli.rmax_of_rpeak
+        monkeypatch.setattr(cli, "rmax_of_rpeak", spy)
+        with redirect_stdout(out):
+            assert cli.main(["sweep", "--preset", "HPL", "--points", "5"]) == 0
+        lines = out.getvalue().splitlines(keepends=True)
+        assert len(lines) == 6
+        # the last point is computed after the header and the first 4 rows
+        assert written[-1] == len("".join(lines[:5]))
 
     @pytest.mark.parametrize("name,fig_id", [("HPL", "6A"), ("HPCG", "6B"),
                                              ("NN", "6C")])

