@@ -8,8 +8,10 @@ stdout early (``| head``) ends the run quietly with 0, as the reader's own
 exit status reports its failures.  Performance values accept a unit-prefix
 suffix (``0.1254E`` means 0.1254 Eflop/s); times are seconds, dates
 fractional years.  ``predict`` takes either ``--preset/--rpeak[/--override]``
-or ``--n/--p/--alpha``, not both; ``--p <= 0`` and ``--rpeak`` below one PU
-are usage errors.
+or ``--n/--p/--alpha``, not both; ``--p <= 0``, ``--rpeak`` below one PU, a
+``sweep`` range too narrow for ``--points`` and ``figure --data`` for a figure
+other than 1, 3 or 4 are usage errors; an unparsable option reads ``--opt:
+<reason>``.  A ``timeline`` history holds one benchmark.
 
 Only ``figure`` imports :mod:`parascale.report` (and through it
 :mod:`parascale.svg`), so the other commands start without them.  A figure
@@ -23,13 +25,14 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
+from itertools import pairwise
 
 from . import ingest
 from .contributions import (DEFAULT_MACHINE, AlphaDecomposition, MachineModel,
                             peak_point, preset, preset_names, rmax_of_rpeak)
-from .model import (FIGURE_IDS, SAMPLES_PER_CURVE, ParallelSystem,
-                    PerformancePoint, RelativisticParams,
+from .model import (FIGURE_DATA, FIGURE_IDS, PAYLOAD_RPEAK_RANGE, SAMPLES_PER_CURVE,
+                    ParallelSystem, PerformancePoint, RelativisticParams,
                     alpha_from_measurement, classic_speed, classic_total_perf,
                     logspace, modern_total_perf, relativistic_speed)
 from .units import format_flops, parse_flops
@@ -61,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(formatter_class=_HelpFormatter, **kwargs)
 
     def error(self, message):  # argparse would exit(2); we own exit codes
-        raise UsageError(message)
+        raise UsageError(message.removeprefix("argument "))
 
 
 def _preset_setup(args):
@@ -98,11 +101,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _flops(text: str, flag: str) -> float:
+def _flops(text: str) -> float:
+    """argparse type of the flop/s options: a number with a unit-prefix suffix."""
     try:
         return parse_flops(text)
     except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _print_point(point: PerformancePoint, unit: str | None) -> None:
@@ -124,11 +128,10 @@ def cmd_predict(args) -> int:
         if args.rpeak is None:
             raise UsageError("predict --preset needs --rpeak")
         d, m = _preset_setup(args)
-        r_peak = _flops(args.rpeak, "--rpeak")
-        if r_peak < m.perf_per_pu:
+        if args.rpeak < m.perf_per_pu:
             raise UsageError(f"--rpeak must be at least one PU "
-                             f"({m.perf_per_pu:.6g} flop/s), got {r_peak:.6g}")
-        point = rmax_of_rpeak(r_peak, m, d)
+                             f"({m.perf_per_pu:.6g} flop/s), got {args.rpeak:.6g}")
+        point = rmax_of_rpeak(args.rpeak, m, d)
         try:
             peak = peak_point(m, d)
         except ValueError:  # no interior maximum, so no peak to be past
@@ -146,10 +149,9 @@ def cmd_predict(args) -> int:
         raise UsageError(f"--alpha must be in [0, 1], got {args.alpha}")
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    perf_single = _flops(args.p, "--p")
-    if perf_single <= 0:
-        raise UsageError(f"--p must be > 0, got {args.p}")
-    system = ParallelSystem(args.n, perf_single, args.alpha)
+    if args.p <= 0:
+        raise UsageError(f"--p must be > 0, got {args.p:g}")
+    system = ParallelSystem(args.n, args.p, args.alpha)
     r_peak = classic_total_perf(system)
     if not math.isfinite(r_peak):
         raise ValueError(f"--n * --p overflows: "
@@ -162,11 +164,9 @@ def cmd_predict(args) -> int:
 def cmd_invert(args) -> int:
     if args.n < 2:
         raise UsageError(f"inversion needs --n >= 2, got {args.n}")
-    r_peak = _flops(args.rpeak, "--rpeak")
-    r_max = _flops(args.rmax, "--rmax")
-    if not 0 < r_max <= r_peak:
+    if not 0 < args.rmax <= args.rpeak:
         raise UsageError("need 0 < --rmax <= --rpeak")
-    eff = r_max / r_peak
+    eff = args.rmax / args.rpeak
     nonparallel = alpha_from_measurement(args.n, eff)
     print(f"efficiency = {eff:.6g}")
     print(f"nonparallel (1-alpha_eff) = {nonparallel:.6g}")
@@ -176,12 +176,15 @@ def cmd_invert(args) -> int:
 
 def cmd_sweep(args) -> int:
     d, m = _preset_setup(args)
-    lo = _flops(args.rpeak_min, "--rpeak-min")
-    hi = _flops(args.rpeak_max, "--rpeak-max")
+    lo, hi = args.rpeak_min, args.rpeak_max
     if not m.perf_per_pu <= lo < hi:
         raise UsageError("need perf_per_pu <= --rpeak-min < --rpeak-max")
     if args.points < 2:
         raise UsageError("--points must be >= 2")
+    # a row per point: in a range a few floats wide the samples would repeat
+    if any(b <= a for a, b in pairwise(logspace(lo, hi, args.points))):
+        raise UsageError(f"--points {args.points}: range [{lo!r}, {hi!r}] "
+                         f"is too narrow")
     # an error leaves no row: the serial fraction grows with N, so the end fails first
     rmax_of_rpeak(hi, m, d)
     with _output(args.out) as sink:
@@ -193,7 +196,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_timeline(args) -> int:
-    records, warnings = ingest.load_records(args.data, "fig3_timeline.csv")
+    records, warnings = ingest.load_records(args.data, FIGURE_DATA["3"])
     _print_warnings(warnings)
     entry = ingest.timeline(records, args.machine)
     with _output(args.out) as sink:
@@ -224,8 +227,10 @@ def cmd_relativistic(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    from . import report
     fig_id = args.id  # upper-cased and checked by the parser
+    if args.data is not None and fig_id not in FIGURE_DATA:
+        raise UsageError(f"--data: figure {fig_id} reads no dataset")
+    from . import report
     warnings: list[str] = []
     cs = report.build_figure(fig_id, data_path=args.data, warnings=warnings)
     _print_warnings(warnings)
@@ -249,14 +254,11 @@ def _print_warnings(warnings) -> None:
         print(f"warning: {w}", file=sys.stderr)
 
 
-@contextmanager
 def _output(path):
     """Text sink for ``path``, or stdout when ``path`` is None."""
     if path is None:
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        yield fh
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def build_parser() -> _Parser:
@@ -267,19 +269,17 @@ def build_parser() -> _Parser:
                     "regenerate the model figures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    unit_kw = dict(choices=["G", "P", "E"], default=None,
-                   help="display unit prefix for flop/s values")
-
     p = sub.add_parser("predict", help="payload performance of a system")
     p.add_argument("--preset", choices=preset_names(), help="benchmark preset")
-    p.add_argument("--rpeak", help="nominal performance in flop/s, prefix "
-                                   "suffix allowed (e.g. 0.00587E)")
+    p.add_argument("--rpeak", type=_flops, help="nominal performance in flop/s, "
+                                                "prefix suffix allowed (e.g. 0.00587E)")
     p.add_argument("--n", type=_finite_float,
                    help="number of processing units (count)")
-    p.add_argument("--p", help="per-PU performance in flop/s (e.g. 100G)")
+    p.add_argument("--p", type=_flops, help="per-PU performance in flop/s (e.g. 100G)")
     p.add_argument("--alpha", type=_finite_float,
                    help="parallel fraction in [0, 1]")
-    p.add_argument("--unit", **unit_kw)
+    p.add_argument("--unit", choices=["G", "P", "E"],
+                   help="display unit prefix for flop/s values")
     p.add_argument("--override", action="append", metavar="KEY=VALUE",
                    help="model constant override (repeatable)")
     p.set_defaults(func=cmd_predict)
@@ -287,18 +287,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("invert", help="serial fraction from a measurement")
     p.add_argument("--n", type=_finite_float, required=True,
                    help="number of processing units (count, >= 2)")
-    p.add_argument("--rpeak", required=True,
+    p.add_argument("--rpeak", type=_flops, required=True,
                    help="nominal performance in flop/s (e.g. 0.1254E)")
-    p.add_argument("--rmax", required=True,
+    p.add_argument("--rmax", type=_flops, required=True,
                    help="payload performance in flop/s (e.g. 0.0930E)")
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("sweep", help="payload curve over a nominal range")
     p.add_argument("--preset", required=True, choices=preset_names())
-    p.add_argument("--rpeak-min", default="0.001E",
-                   help="sweep start in flop/s (default 0.001E)")
-    p.add_argument("--rpeak-max", default="1.1E",
-                   help="sweep end in flop/s (default 1.1E)")
+    lo, hi = PAYLOAD_RPEAK_RANGE
+    p.add_argument("--rpeak-min", type=_flops, default=lo,
+                   help=f"sweep start in flop/s (default {format_flops(lo, 'E')})")
+    p.add_argument("--rpeak-max", type=_flops, default=hi,
+                   help=f"sweep end in flop/s (default {format_flops(hi, 'E')})")
     p.add_argument("--points", type=int, default=SAMPLES_PER_CURVE,
                    help="samples along the sweep")
     p.add_argument("-o", "--out", help="output CSV path (default stdout)")
@@ -326,7 +327,7 @@ def build_parser() -> _Parser:
     p.add_argument("id", type=str.upper, choices=FIGURE_IDS,
                    help=f"figure id: {', '.join(FIGURE_IDS)}")
     p.add_argument("--data", help="measurement CSV replacing the bundled "
-                                  "dataset (figures 1, 3, 4)")
+                                  f"dataset (figures {', '.join(FIGURE_DATA)})")
     p.add_argument("-o", "--out", default="", help="output directory")
     p.add_argument("--format", choices=["csv", "svg"], default="csv",
                    help="csv writes the dataset only; svg writes both")

@@ -89,18 +89,14 @@ _CTX_SWITCH_CLOCKS = 1e4   # clock cycles burned per context change
 _TOTAL_CLOCKS = 2e13       # clock cycles in the full benchmark run
 _BIO_CLOCK_FACTOR = 5000.0  # grid-time sync period vs hardware clock period
 
-_PRESETS = {
-    "HPL": BenchmarkPreset("HPL", AlphaDecomposition(
-        alpha_sw=2e-8, ctx_switch_clocks=_CTX_SWITCH_CLOCKS,
-        total_clocks=_TOTAL_CLOCKS, loop_clocks_per_pu=1.0, bio_factor=1.0)),
-    "HPCG": BenchmarkPreset("HPCG", AlphaDecomposition(
-        alpha_sw=2e-6, ctx_switch_clocks=_CTX_SWITCH_CLOCKS,
-        total_clocks=_TOTAL_CLOCKS, loop_clocks_per_pu=1.0, bio_factor=1.0)),
-    "NN": BenchmarkPreset("NN", AlphaDecomposition(
-        alpha_sw=2e-6, ctx_switch_clocks=_CTX_SWITCH_CLOCKS,
-        total_clocks=_TOTAL_CLOCKS, loop_clocks_per_pu=1.0,
-        bio_factor=_BIO_CLOCK_FACTOR)),
-}
+# (name, alpha_sw, bio_factor): the only values in which the presets differ.
+_PRESETS = {name: BenchmarkPreset(name, AlphaDecomposition(
+                alpha_sw=alpha_sw, ctx_switch_clocks=_CTX_SWITCH_CLOCKS,
+                total_clocks=_TOTAL_CLOCKS, loop_clocks_per_pu=1.0,
+                bio_factor=bio_factor))
+            for name, alpha_sw, bio_factor in (("HPL", 2e-8, 1.0),
+                                               ("HPCG", 2e-6, 1.0),
+                                               ("NN", 2e-6, _BIO_CLOCK_FACTOR))}
 
 
 def preset_names() -> tuple[str, ...]:

@@ -248,13 +248,16 @@ def derive(records: Iterable[MachineRecord]) -> list[DerivedRecord]:
 
 
 def timeline(records: Iterable[MachineRecord], machine: str) -> TimelineEntry:
-    """Chronological r_max history of one machine with improvement ratios."""
+    """Chronological r_max history of one machine, on one benchmark, with ratios."""
     mine = [r for r in records if r.machine == machine]
     if not mine:
         raise ValueError(f"no records for machine {machine!r}")
     mine = [r for r in mine if r.r_max is not None]
     if not mine:
         raise ValueError(f"machine {machine!r} has no rmax value")
+    tags = sorted({r.benchmark for r in mine})
+    if len(tags) > 1:  # a ratio between two benchmarks is no improvement
+        raise ValueError(f"machine {machine!r} mixes benchmarks {', '.join(tags)}")
     mine.sort(key=lambda r: r.date)
     points = tuple((r.date, r.r_max) for r in mine)
     ratios = tuple(b[1] / a[1] for a, b in zip(points, points[1:]))
@@ -265,10 +268,7 @@ def timeline(records: Iterable[MachineRecord], machine: str) -> TimelineEntry:
 
 def machine_names(records: Iterable[MachineRecord]) -> list[str]:
     """Machine names in first-appearance order."""
-    seen: dict[str, None] = {}
-    for r in records:
-        seen.setdefault(r.machine, None)
-    return list(seen)
+    return list(dict.fromkeys(r.machine for r in records))
 
 
 def load_meta(source: io.TextIOBase | str) -> dict[str, dict[str, float]]:

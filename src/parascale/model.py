@@ -35,9 +35,13 @@ LIGHT_SPEED = 299_792_458.0
 #: Log-spaced samples per model curve (figures and ``sweep``).
 SAMPLES_PER_CURVE = 512
 
-#: Ids of the figures :func:`parascale.report.build_figure` builds; kept here
-#: so that the command-line parser needs no figure code.
+#: Nominal flop/s that figure 6's panels span: ``sweep``'s default range.
+PAYLOAD_RPEAK_RANGE = (1e15, 1.1e18)
+
+#: Figures :func:`parascale.report.build_figure` builds, and the bundled dataset
+#: of each that reads one; kept here so that the parser needs no figure code.
 FIGURE_IDS = ("1", "3", "4", "5", "6A", "6B", "6C")
+FIGURE_DATA = {"1": "fig4_points.csv", "3": "fig3_timeline.csv", "4": "fig4_points.csv"}
 
 
 def logspace(lo: float, hi: float, n: int) -> Iterator[float]:

@@ -25,8 +25,9 @@ from collections.abc import Iterable, Sequence
 
 from . import ingest
 from .contributions import DEFAULT_MACHINE, alpha_os, alpha_total, preset
-from .model import (FIGURE_IDS, SAMPLES_PER_CURVE, RelativisticParams,
-                    efficiency_from_nonparallel, logspace, relativistic_speed)
+from .model import (FIGURE_DATA, FIGURE_IDS, PAYLOAD_RPEAK_RANGE, SAMPLES_PER_CURVE,
+                    RelativisticParams, efficiency_from_nonparallel, logspace,
+                    relativistic_speed)
 from .svg import render_svg
 
 #: Figure 1's grid: log-spaced PU counts (``SAMPLES_PER_CURVE`` columns) and
@@ -48,8 +49,7 @@ NEURAL_SIM_POINT = (9.83e-6, 8.39e-6)
 
 #: Measured reference points for the decomposition panels (exaflop/s).
 FIG6_MEASURED = {"HPL": (0.00587, 0.005), "HPCG": (0.00587, 0.000095)}
-#: Nominal performance the decomposition panels span: ``sweep``'s defaults.
-FIG6_RPEAK_RANGE = (1e15, 1.1e18)
+FIG6_RPEAK_RANGE = PAYLOAD_RPEAK_RANGE  # the decomposition panels' nominal flop/s
 
 
 class AxisSpec(namedtuple("AxisSpec", "label unit scale min max")):
@@ -292,9 +292,9 @@ def build_figure(fig_id: str, data_path: str | None = None,
                  warnings: list[str] | None = None) -> CurveSet:
     """Build one of the named figures, from bundled data unless overridden.
 
-    ``data_path`` replaces the measurement dataset for figures 1, 3 and 4
-    (it is ignored by 5 and the 6-panels, which are pure model output).
-    The parse warnings of that dataset are appended to ``warnings``.
+    ``data_path`` replaces the bundled dataset ``FIGURE_DATA[fig_id]`` of
+    figures 1, 3 and 4; 5 and the 6-panels, pure model output, ignore it (the
+    command line refuses it).  Its parse warnings are appended to ``warnings``.
     """
     fig_id = fig_id.upper()
     if fig_id not in FIGURE_IDS:
@@ -302,10 +302,9 @@ def build_figure(fig_id: str, data_path: str | None = None,
             f"unknown figure id {fig_id!r}; valid ids: {', '.join(FIGURE_IDS)}")
     if fig_id == "5":
         return fig5_curves()
-    if fig_id.startswith("6"):
+    if fig_id not in FIGURE_DATA:  # a 6-panel
         return fig6_panel({"6A": "HPL", "6B": "HPCG", "6C": "NN"}[fig_id])
-    records, found = ingest.load_records(
-        data_path, "fig3_timeline.csv" if fig_id == "3" else "fig4_points.csv")
+    records, found = ingest.load_records(data_path, FIGURE_DATA[fig_id])
     if warnings is not None:
         warnings.extend(found)
     if fig_id == "3":

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from parascale import cli, ingest, report
 from parascale.contributions import (DEFAULT_MACHINE, AlphaDecomposition,
                                      MachineModel, peak_point, preset)
+from parascale.model import FIGURE_DATA, PAYLOAD_RPEAK_RANGE
 from parascale.units import PREFIX_EXP, format_flops, parse_flops
 from reference_units import parse_flops as reference_parse_flops
 
@@ -168,6 +169,29 @@ class TestFiniteFloatOptions:
         assert rc == 1
         assert "usage error" in err and "not a finite number" in err
         assert out == ""
+
+
+class TestFlopsOptions:
+    """The flop/s options are parsed by the parser, each error naming its flag."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["predict", "--preset", "HPL", "--rpeak", "bad"], "--rpeak"),
+        (["predict", "--n", "1e6", "--p", "bad", "--alpha", "0.5"], "--p"),
+        (["invert", "--n", "100", "--rpeak", "bad", "--rmax", "1P"], "--rpeak"),
+        (["invert", "--n", "100", "--rpeak", "1E", "--rmax", "bad"], "--rmax"),
+        (["sweep", "--preset", "HPL", "--rpeak-min", "bad"], "--rpeak-min"),
+        (["sweep", "--preset", "HPL", "--rpeak-max", "bad"], "--rpeak-max")])
+    def test_bad_value_is_usage_error_naming_the_option(self, capsys, argv, flag):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == f"usage error: {flag}: cannot parse flop/s value 'bad'\n"
+
+    def test_sweep_defaults_are_figure_6_range(self):
+        assert report.FIG6_RPEAK_RANGE is PAYLOAD_RPEAK_RANGE
+        args = cli.build_parser().parse_args(["sweep", "--preset", "HPL"])
+        assert (args.rpeak_min, args.rpeak_max) == PAYLOAD_RPEAK_RANGE
+        # the range the help text and the parser read give the same floats
+        assert tuple(map(parse_flops, ("0.001E", "1.1E"))) == PAYLOAD_RPEAK_RANGE
 
 
 class TestPredict:
@@ -328,6 +352,32 @@ class TestSweep:
         assert [(float(r_peak) / 1e18, float(r_max) / 1e18)
                 for r_peak, r_max, _ in rows] == list(rmax.points)
 
+    @pytest.mark.parametrize("argv,range_text", [
+        (["--points", "3", "--rpeak-min", "5e-324", "--rpeak-max", "1e-323",
+          "--override", "perf_per_pu=5e-324"], "[5e-324, 1e-323]"),
+        (["--points", "5", "--rpeak-min", "100G",
+          "--rpeak-max", "100.00000000000003G"],
+         "[100000000000.0, 100000000000.00003]")])
+    def test_range_too_narrow_for_points_is_usage_error(self, capsys, tmp_path,
+                                                        argv, range_text):
+        path = tmp_path / "f.csv"
+        rc, out, err = run(capsys, "sweep", "--preset", "HPL", *argv,
+                           "-o", str(path))
+        assert (rc, out) == (1, "")
+        assert err == (f"usage error: --points {argv[1]}: range {range_text} "
+                       f"is too narrow\n")
+        assert not path.exists()
+        rc, out, _ = run(capsys, "sweep", "--preset", "HPL", *argv)
+        assert (rc, out) == (1, "")
+
+    def test_two_points_sweep_the_narrowest_range(self, capsys):
+        hi = math.nextafter(1e11, math.inf)  # the two ends are the samples
+        rc, out, _ = run(capsys, "sweep", "--preset", "HPL", "--points", "2",
+                         "--rpeak-min", "100G", "--rpeak-max", repr(hi))
+        assert rc == 0
+        rows = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert rows == [1e11, hi]
+
 
 class TestTimeline:
     def test_bundled_summit(self, capsys):
@@ -368,6 +418,12 @@ class TestTimeline:
         rc, _, _ = run(capsys, "timeline", "--machine", "X",
                        "--data", "/nonexistent.csv")
         assert rc == 2
+
+    def test_history_mixing_benchmarks_is_data_error(self, capsys):
+        rc, out, err = run(capsys, "timeline", "--machine", "Taihulight",
+                           "--data", str(REPO_DATA / "fig4_points.csv"))
+        assert (rc, out) == (2, "")
+        assert err == "error: machine 'Taihulight' mixes benchmarks HPCG, HPL\n"
 
     @pytest.mark.parametrize("argv", [["timeline", "--machine", "A"],
                                       ["figure", "3"]])
@@ -528,6 +584,30 @@ class TestFigure:
         assert rc == 1
         for fig_id in ("1", "3", "4", "5", "6A", "6B", "6C"):
             assert fig_id in err
+
+    @pytest.mark.parametrize("fig_id", ["5", "6A", "6B", "6C"])
+    def test_data_for_a_model_figure_is_usage_error(self, capsys, tmp_path,
+                                                    fig_id):
+        out_dir = tmp_path / "d"
+        rc, out, err = run(capsys, "figure", fig_id, "--data", "/nonexistent.csv",
+                           "-o", str(out_dir))
+        assert (rc, out) == (1, "")
+        assert err.startswith("usage error: --data: ")
+        assert not out_dir.exists()
+
+    def test_data_help_lists_the_figures_that_read_data(self, capsys):
+        rc, out, _ = run(capsys, "figure", "--help")
+        assert rc == 0
+        assert f"(figures {', '.join(FIGURE_DATA)})" in " ".join(out.split())
+
+    def test_figure3_history_mixing_benchmarks_writes_no_file(self, capsys,
+                                                              tmp_path):
+        rc, out, err = run(capsys, "figure", "3", "--format", "svg",
+                           "--data", str(REPO_DATA / "fig4_points.csv"),
+                           "-o", str(tmp_path))
+        assert (rc, out) == (2, "")
+        assert "mixes benchmarks" in err and "Taihulight" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStartup:

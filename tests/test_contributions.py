@@ -48,6 +48,16 @@ class TestPresets:
     def test_shared_machine(self):
         assert DEFAULT_MACHINE.perf_per_pu == 100e9
 
+    @pytest.mark.parametrize("name,fields", [
+        ("HPL", (2e-8, 1e4, 2e13, 1.0, 1.0)),
+        ("HPCG", (2e-6, 1e4, 2e13, 1.0, 1.0)),
+        ("NN", (2e-6, 1e4, 2e13, 1.0, 5000.0))])
+    def test_decomposition_field_for_field(self, name, fields):
+        p = preset(name)
+        assert p.name == name
+        assert tuple(p.decomposition) == fields
+        assert type(p.decomposition) is AlphaDecomposition
+
     def test_lookup_case_insensitive(self):
         assert preset("hpcg").name == "HPCG"
 

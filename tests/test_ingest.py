@@ -306,6 +306,19 @@ class TestTimeline:
         with pytest.raises(ValueError, match="no records"):
             timeline(records, "Colossus")
 
+    def test_mixed_benchmarks_name_the_machine(self):
+        records, _ = parse(HEADER + "A,2018.0,HPL,,1e17,\n"
+                                    "A,2018.0,HPCG,,1e15,\n")
+        with pytest.raises(ValueError,
+                           match="machine 'A' mixes benchmarks HPCG, HPL$"):
+            timeline(records, "A")
+
+    def test_benchmark_without_rmax_is_not_mixed_in(self):
+        records, _ = parse(HEADER + "A,2018.0,HPL,,1e17,\n"
+                                    "A,2018.5,HPCG,2e17,,\n"
+                                    "A,2019.0,HPL,,2e17,\n")
+        assert timeline(records, "A").ratios == (2.0,)
+
 
 class TestMeta:
     def test_bundled_meta(self):
