@@ -260,6 +260,9 @@ def timeline(records: Iterable[MachineRecord], machine: str) -> TimelineEntry:
         raise ValueError(f"machine {machine!r} mixes benchmarks {', '.join(tags)}")
     mine.sort(key=lambda r: r.date)
     points = tuple((r.date, r.r_max) for r in mine)
+    for (a, _), (b, _) in zip(points, points[1:]):
+        if a == b:  # two values in one list edition make no improvement ratio
+            raise ValueError(f"machine {machine!r} has two rmax values on date {a!r}")
     ratios = tuple(b[1] / a[1] for a, b in zip(points, points[1:]))
     if math.inf in ratios:  # a sub-normal r_max before a normal one
         raise ValueError(f"r_max ratio of machine {machine!r} overflows")

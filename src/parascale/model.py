@@ -181,7 +181,8 @@ def modern_total_perf(sys: ParallelSystem) -> float:
 def alpha_from_measurement(n_proc: float, eff: float) -> float:
     """Invert a measured efficiency into the serial fraction (1 - alpha_eff).
 
-    Solves eff = 1 / (1 + (N-1)*x) for x, i.e. returns (1/eff - 1) / (N - 1).
+    Solves eff = 1 / (1 + (N-1)*x) for x as (1 - eff) / eff / (N - 1), which
+    does not cancel near eff = 1 as (1/eff - 1) / (N - 1) would.
     The returned value is the non-parallelizable fraction; the parallel
     fraction itself is 1 minus the result.  A measurement with eff < 1/N is
     inconsistent with any alpha in [0, 1] and yields a value above 1.  An
@@ -191,7 +192,7 @@ def alpha_from_measurement(n_proc: float, eff: float) -> float:
         raise ValueError(
             f"inversion degenerate: need n_proc >= 2, got {n_proc}")
     require_efficiency(eff)
-    nonparallel = (1.0 / eff - 1.0) / (n_proc - 1.0)
+    nonparallel = (1.0 - eff) / eff / (n_proc - 1.0)
     if not math.isfinite(nonparallel):
         raise ValueError(f"serial fraction overflows at efficiency {eff:.6g}")
     return nonparallel

@@ -1,10 +1,12 @@
 """Figure datasets: model curves plus measured overlays, as CSV and SVG.
 
 Each builder returns a :class:`CurveSet`, a plain container of named series
-and overlay point sets with axis descriptions.  Emission is split from
-construction so the same dataset can go to CSV (always) and SVG (on
-request).  Builders and emitters are pure: the same inputs produce
-byte-identical output, which the test suite checks.
+and overlay point sets with axis descriptions.  A series holds columns, x
+samples ``xs`` and y values ``ys``; the series that share their x samples
+share one ``xs`` tuple.  Emission is split from construction so the same
+dataset can go to CSV (always) and SVG (on request).  Builders and emitters
+are pure: the same inputs produce byte-identical output, which the test
+suite checks.
 
 Figure ids used by the command line:
 
@@ -67,8 +69,8 @@ class AxisSpec(namedtuple("AxisSpec", "label unit scale min max")):
         return super().__new__(cls, label, unit, scale, min, max)
 
 
-class Series(namedtuple("Series", "name points axis level", defaults=("y", None))):
-    """Named (x, y) points on axis "y" or "y2"; ``level``: their y on a heat map."""
+class Series(namedtuple("Series", "name xs ys axis level", defaults=("y", None))):
+    """Named x and y columns on axis "y" or "y2"; ``level``: their y on a heat map."""
 
     __slots__ = ()
 
@@ -83,24 +85,28 @@ class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_ax
                 y2_axis: AxisSpec | None = None):
         if not series:
             raise ValueError("curve set needs at least one series")
+        xs = None
         for s in (*series, *overlays):  # both are drawn on these axes
-            if not s.points:
+            if not s.xs:
                 raise ValueError(f"series {s.name!r} is empty")
-            if x_axis.scale == "log10" and any(x <= 0 for x, _ in s.points):
+            if len(s.xs) != len(s.ys):
+                raise ValueError(f"series {s.name!r} has {len(s.xs)} x but "
+                                 f"{len(s.ys)} y values")
+            if x_axis.scale == "log10" and s.xs is not xs and any(x <= 0 for x in s.xs):
                 raise ValueError(f"series {s.name!r} has x <= 0 on a log axis")
+            xs = s.xs  # a run of series that share their x samples is checked once
             y_spec = y2_axis if (s.axis == "y2" and y2_axis) else y_axis
             # a point with a level is drawn at that level, not at its y
-            if (s.level is None and y_spec.scale == "log10"
-                    and any(y <= 0 for _, y in s.points)):
+            if s.level is None and y_spec.scale == "log10" and any(y <= 0 for y in s.ys):
                 raise ValueError(f"series {s.name!r} has y <= 0 on a log axis")
         return super().__new__(cls, title, x_axis, y_axis, series, overlays, y2_axis)
 
 
 def _log_axis(label: str, unit: str, default_lo: float, default_hi: float,
-              series: Iterable[Series], coord: int = 1) -> AxisSpec:
+              columns: Iterable[Sequence[float]]) -> AxisSpec:
     """Log axis over the default range, widened to whole decades covering
-    coordinate ``coord`` (0 for x, 1 for y) of every point of ``series``."""
-    vals = [p[coord] for s in series for p in s.points if p[coord] > 0]
+    every positive value of ``columns``."""
+    vals = [v for col in columns for v in col if v > 0]
     lo, hi = default_lo, default_hi
     if vals:
         lo = min(lo, 10.0 ** math.floor(math.log10(min(vals))))
@@ -111,19 +117,19 @@ def _log_axis(label: str, unit: str, default_lo: float, default_hi: float,
 def fig1_surface(measured: Sequence[ingest.DerivedRecord] = ()) -> CurveSet:
     """Efficiency grid over PU count (columns) and serial fraction (rows).
 
-    Each series is one grid row: points are (N, efficiency) at that row's
-    serial fraction, carried in ``Series.level``.  Each record that
-    :func:`ingest.derive` inverted is one overlay: its (cores, efficiency)
-    point, at the serial fraction ``derive`` found as its ``level``.
+    Each series is one grid row: efficiencies ``ys`` over the PU counts ``xs``
+    that all rows share, at the row's serial fraction ``Series.level``.  Each
+    record that :func:`ingest.derive` inverted is one overlay: its cores and
+    efficiency, at the serial fraction ``derive`` found as its ``level``.
     """
-    ns = tuple(logspace(*FIG1_N_RANGE, SAMPLES_PER_CURVE))  # shared by all rows
+    ns = tuple(logspace(*FIG1_N_RANGE, SAMPLES_PER_CURVE))
     series = []
     for beta in logspace(*FIG1_NONPARALLEL_RANGE, FIG1_ROWS):
         # efficiency_from_nonparallel inline: the grid constants keep n >= 1, beta > 0
-        pts = tuple((n, 1.0 / (1.0 + (n - 1.0) * beta)) for n in ns)
-        series.append(Series(name=f"nonparallel={beta:.6g}", points=pts, level=beta))
+        effs = tuple(1.0 / (1.0 + (n - 1.0) * beta) for n in ns)
+        series.append(Series(name=f"nonparallel={beta:.6g}", xs=ns, ys=effs, level=beta))
     overlays = tuple(Series(name=f"{d.record.benchmark} measured",
-                            points=((float(d.record.cores), d.efficiency),),
+                            xs=(float(d.record.cores),), ys=(d.efficiency,),
                             level=d.nonparallel)
                      for d in sorted(measured, key=lambda d: d.record.benchmark)
                      if d.nonparallel is not None)
@@ -150,16 +156,15 @@ def fig3_timeline(records: Sequence[ingest.MachineRecord],
                         for name in ingest.machine_names(records) if name not in names)
     series = []
     for name in names:
-        entry = ingest.timeline(drawn, name)
-        pts = tuple((date, rmax / 1e15) for date, rmax in entry.points)
-        series.append(Series(name=name, points=pts))
-    dates = [x for s in series for x, _ in s.points]
+        dates, rmaxes = zip(*ingest.timeline(drawn, name).points)
+        series.append(Series(name=name, xs=dates, ys=tuple(r / 1e15 for r in rmaxes)))
+    years = [x for s in series for x in s.xs]
     return CurveSet(
         title="Payload performance by year of construction",
         x_axis=AxisSpec("year", "fractional year", "linear",
-                        min(2010.0, math.floor(min(dates))),
-                        max(2020.0, math.ceil(max(dates)))),
-        y_axis=_log_axis("R_Max", "Pflop/s", 0.5, 230.0, series),
+                        min(2010.0, math.floor(min(years))),
+                        max(2020.0, math.ceil(max(years)))),
+        y_axis=_log_axis("R_Max", "Pflop/s", 0.5, 230.0, [s.ys for s in series]),
         series=tuple(series),
     )
 
@@ -178,28 +183,28 @@ def fig4_curves(measured: Sequence[ingest.MachineRecord] = ()) -> CurveSet:
     model lines.  Axes are in exaflop/s like the measured data.
     """
     perf_per_pu = taihulight_perf_per_pu()
+    r_peaks = tuple(logspace(*FIG4_RPEAK_RANGE, SAMPLES_PER_CURVE))
+    xs = tuple(r_peak / 1e18 for r_peak in r_peaks)
+    ns = [r_peak / perf_per_pu for r_peak in r_peaks]  # >= 84 PUs over the whole range
     series = []
     for beta in FIG4_NONPARALLEL:
-        pts = []
-        for r_peak in logspace(*FIG4_RPEAK_RANGE, SAMPLES_PER_CURVE):
-            n = r_peak / perf_per_pu  # >= 84 PUs over the whole range
-            eff = efficiency_from_nonparallel(n, beta)
-            pts.append((r_peak / 1e18, r_peak * eff / 1e18))
-        label = _FIG4_LABELS.get(beta, f"{beta:g}")
-        series.append(Series(name=label, points=tuple(pts)))
+        ys = tuple(r_peak * efficiency_from_nonparallel(n, beta) / 1e18
+                   for r_peak, n in zip(r_peaks, ns))
+        series.append(Series(name=_FIG4_LABELS.get(beta, f"{beta:g}"), xs=xs, ys=ys))
 
     groups: dict[str, list[tuple[float, float]]] = {}
     for r in measured:
         if r.r_peak is not None and r.r_max is not None:
             groups.setdefault(r.benchmark, []).append((r.r_peak / 1e18, r.r_max / 1e18))
-    overlays = [Series(name=f"{bench} measured", points=tuple(pts))
+    # zip(*points) turns (x, y) points into the columns xs and ys, zip(point) one point
+    overlays = [Series(f"{bench} measured", *zip(*pts))
                 for bench, pts in sorted(groups.items())]
-    overlays.append(Series(name="neural-sim", points=(NEURAL_SIM_POINT,)))
+    overlays.append(Series("neural-sim", *zip(NEURAL_SIM_POINT)))
     drawn = (*series, *overlays)
     return CurveSet(
         title="Payload vs nominal performance at fixed serial fractions",
-        x_axis=_log_axis("R_Peak", "Eflop/s", 1e-6, 0.5, drawn, coord=0),
-        y_axis=_log_axis("R_Max", "Eflop/s", 1e-6, 0.3, drawn),
+        x_axis=_log_axis("R_Peak", "Eflop/s", 1e-6, 0.5, [s.xs for s in drawn]),
+        y_axis=_log_axis("R_Max", "Eflop/s", 1e-6, 0.3, [s.ys for s in drawn]),
         series=tuple(series),
         overlays=tuple(overlays),
     )
@@ -208,16 +213,16 @@ def fig4_curves(measured: Sequence[ingest.MachineRecord] = ()) -> CurveSet:
 def fig5_curves() -> CurveSet:
     """Speed under g from one day to about 32 years, optical densities 1 and 2."""
     lo, hi = 86400.0, 1e9
+    ts = tuple(logspace(lo, hi, SAMPLES_PER_CURVE))
     series = []
     for n in (1.0, 2.0):
         params = RelativisticParams(density=n)  # accel defaults to g
-        pts = tuple((t, relativistic_speed(t, params))
-                    for t in logspace(lo, hi, SAMPLES_PER_CURVE))
-        series.append(Series(name=f"v(t), n={n:g}", points=pts))
+        speeds = tuple(relativistic_speed(t, params) for t in ts)
+        series.append(Series(name=f"v(t), n={n:g}", xs=ts, ys=speeds))
     return CurveSet(
         title="Relativistic speed under constant acceleration",
         x_axis=AxisSpec("time", "s", "log10", lo, hi),
-        y_axis=_log_axis("speed", "m/s", 1e6, 5e8, series),
+        y_axis=_log_axis("speed", "m/s", 1e6, 5e8, [s.ys for s in series]),
         series=tuple(series),
     )
 
@@ -233,54 +238,49 @@ def fig6_panel(preset_name: str) -> CurveSet:
     p = preset(preset_name)
     d = p.decomposition
     lo, hi = FIG6_RPEAK_RANGE
-    alpha_sw_pts = []
-    alpha_os_pts = []
-    alpha_total_pts = []
-    rmax_pts = []
-    for r_peak in logspace(lo, hi, SAMPLES_PER_CURVE):
-        x = r_peak / 1e18
-        n = r_peak / DEFAULT_MACHINE.perf_per_pu
-        total = alpha_total(n, d)
-        alpha_sw_pts.append((x, d.alpha_sw))
-        alpha_os_pts.append((x, alpha_os(n, d)))
-        alpha_total_pts.append((x, total))
-        rmax_pts.append((x, r_peak * efficiency_from_nonparallel(n, total) / 1e18))
-
-    fractions = (Series(name="alpha_sw", points=tuple(alpha_sw_pts)),
-                 Series(name="alpha_os", points=tuple(alpha_os_pts)),
-                 Series(name="alpha_total", points=tuple(alpha_total_pts)))
-    rmax = Series(name="rmax", points=tuple(rmax_pts), axis="y2")
+    r_peaks = tuple(logspace(lo, hi, SAMPLES_PER_CURVE))
+    xs = tuple(r_peak / 1e18 for r_peak in r_peaks)
+    ns = [r_peak / DEFAULT_MACHINE.perf_per_pu for r_peak in r_peaks]
+    totals = tuple(alpha_total(n, d) for n in ns)
+    fractions = (Series(name="alpha_sw", xs=xs, ys=(d.alpha_sw,) * len(xs)),
+                 Series(name="alpha_os", xs=xs, ys=tuple(alpha_os(n, d) for n in ns)),
+                 Series(name="alpha_total", xs=xs, ys=totals))
+    rmaxes = tuple(r_peak * efficiency_from_nonparallel(n, total) / 1e18
+                   for r_peak, n, total in zip(r_peaks, ns, totals))
+    rmax = Series(name="rmax", xs=xs, ys=rmaxes, axis="y2")
     overlays = ()
     if p.name in FIG6_MEASURED:
-        overlays = (Series(name=f"{p.name} measured",
-                           points=(FIG6_MEASURED[p.name],), axis="y2"),)
+        overlays = (Series(f"{p.name} measured", *zip(FIG6_MEASURED[p.name]), axis="y2"),)
     return CurveSet(
         title=f"Serial-fraction contributions and payload performance ({p.name})",
         x_axis=AxisSpec("R_Peak", "Eflop/s", "log10", lo / 1e18, hi / 1e18),
-        y_axis=_log_axis("serial fraction (1-alpha)", "", 1e-10, 5e-4, fractions),
+        y_axis=_log_axis("serial fraction (1-alpha)", "", 1e-10, 5e-4,
+                         [s.ys for s in fractions]),
         series=(*fractions, rmax),
         overlays=overlays,
-        y2_axis=_log_axis("R_Max", "Eflop/s", 1e-5, 1.0, (rmax,)),
+        y2_axis=_log_axis("R_Max", "Eflop/s", 1e-5, 1.0, [rmax.ys]),
     )
 
 
 def emit_csv(cs: CurveSet, sink: io.TextIOBase) -> None:
-    """Write every series and overlay point as ``series,x,y`` rows.
+    """Write each sample of every series and overlay as a ``series,x,y`` row.
 
     Values use the shortest representation that parses back to the same
     float, so the output is lossless and measured inputs appear verbatim.
-    Names are quoted by the csv module's rules, once per series; the series
-    share their x samples, so each x is formatted once per call.
+    Names are quoted by the csv module's rules, once per series, and the x
+    column once for each run of series that share its ``xs`` tuple.
     """
     sink.write("series,x,y\n")
-    x_reprs: dict[float, str] = {}  # nonzero x only: 0.0 == -0.0, their reprs differ
+    xs = None
     for s in (*cs.series, *cs.overlays):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow([s.name, ""])
         prefix = buf.getvalue()[:-1]  # "<quoted name>,"
-        x_reprs.update((x, repr(float(x))) for x, _ in s.points if x and x not in x_reprs)
-        sink.write("".join([f"{prefix}{x_reprs.get(x) or repr(float(x))},{float(y)!r}\n"
-                            for x, y in s.points]))
+        if s.xs is not xs:
+            xs = s.xs
+            x_reprs = [repr(float(x)) for x in xs]
+        sink.write("".join([f"{prefix}{x},{float(y)!r}\n"
+                            for x, y in zip(x_reprs, s.ys)]))
 
 
 def emit_svg(cs: CurveSet, sink: io.TextIOBase) -> None:

@@ -9,8 +9,7 @@ with the standard library and drawn with nearest-neighbour scaling.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
-from operator import itemgetter
+from collections.abc import Callable, Iterable, Sequence
 
 WIDTH = 960
 HEIGHT = 600
@@ -157,21 +156,23 @@ def render_svg(cs) -> str:
 
 def _render_lines(cs, out, x_px, y_px, y2_px) -> None:
     legend: list[str] = []  # drawn after all the data, series first
-    x_strs: dict[float, str] = {}  # pixel x per x value; the series share their xs
+    xs = None
     lx = PLOT_L + 12
     for i, s in enumerate((*cs.series, *cs.overlays)):
         color = PALETTE[i % len(PALETTE)]
         to_y = y2_px if (s.axis == "y2" and y2_px is not None) else y_px
         ly = PLOT_T + 16 + 17 * i
         if i < len(cs.series):  # a series is a line, an overlay dots
-            pts = " ".join(f"{x_strs.get(x) or x_strs.setdefault(x, _fmt(x_px(x)))},"
-                           f"{_fmt(to_y(y))}" for x, y in s.points)
+            if s.xs is not xs:  # series that share their x samples map them once
+                xs = s.xs
+                x_strs = [_fmt(x_px(x)) for x in xs]
+            pts = " ".join(f"{x},{_fmt(to_y(y))}" for x, y in zip(x_strs, s.ys))
             out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
                        f'clip-path="url(#plot)" points="{pts}"/>')
             legend.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                           f'stroke="{color}" stroke-width="2.5"/>')
         else:
-            for x, y in s.points:
+            for x, y in zip(s.xs, s.ys):
                 out.append(f'<circle cx="{_fmt(x_px(x))}" cy="{_fmt(to_y(y))}" r="3.5" '
                            f'fill="{color}" stroke="#000000" stroke-width="0.6" '
                            f'clip-path="url(#plot)"/>')
@@ -219,38 +220,36 @@ def _png_href(rows: list[bytes], width: int) -> str:
     return "data:image/png;base64," + binascii.b2a_base64(png, newline=False).decode()
 
 
-def _outer_edges(centers: list[float]) -> tuple[float, float]:
+def _outer_edges(centers: Sequence[float]) -> tuple[float, float]:
     """Outer cell boundaries, half a log-space step beyond the end centres."""
     a, b, y, z = (math.log10(c) for c in centers[:2] + centers[-2:])
     return 10.0 ** (a - (b - a) / 2.0), 10.0 ** (z + (z - y) / 2.0)
 
 
 def _render_heatmap(cs, out, x_px, y_px) -> None:
-    # Rows are series tagged with a `level` (the y coordinate); the point y
-    # values are the mapped quantity.  Color scale is log10 of the value.
+    # Rows are series tagged with a `level` (the y coordinate) over one x
+    # column; their ys are the mapped quantity.  Color scale is log10 of it.
     rows = sorted(cs.series, key=lambda s: s.level)
-    xs = [x for x, _ in rows[0].points]
-    vmin = math.log10(min(min(map(itemgetter(1), s.points)) for s in rows))
-    vmax = math.log10(max(max(map(itemgetter(1), s.points)) for s in rows))
+    vmin = math.log10(min(min(s.ys) for s in rows))
+    vmax = math.log10(max(max(s.ys) for s in rows))
     span = (vmax - vmin) or 1.0
 
     # One pixel per cell, stretched over the outer cell edges and clipped to
     # the plot; the grid is log-uniform, so the cells keep their geometry.
-    pixels = [_rgb([(math.log10(v) - vmin) / span for _, v in s.points])
-              for s in reversed(rows)]
-    x_lo, x_hi = _outer_edges(xs)
+    pixels = [_rgb([(math.log10(v) - vmin) / span for v in s.ys]) for s in reversed(rows)]
+    x_lo, x_hi = _outer_edges(rows[0].xs)
     y_lo, y_hi = _outer_edges([s.level for s in rows])
     x0, x1, y0, y1 = x_px(x_lo), x_px(x_hi), y_px(y_hi), y_px(y_lo)
     out.append(f'<image xmlns:xlink="http://www.w3.org/1999/xlink" '
                f'x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
                f'height="{_fmt(y1 - y0)}" preserveAspectRatio="none" '
                f'image-rendering="optimizeSpeed" clip-path="url(#plot)" '
-               f'xlink:href="{_png_href(pixels, len(xs))}"/>')
+               f'xlink:href="{_png_href(pixels, len(rows[0].xs))}"/>')
 
     # Measured markers: each overlay's points sit at the level it carries.
     # They have no clip path, so a marker outside either axis is left out.
     for ov in cs.overlays:
-        for n, _ in ov.points:
+        for n in ov.xs:
             if (cs.x_axis.min <= n <= cs.x_axis.max
                     and cs.y_axis.min <= ov.level <= cs.y_axis.max):
                 out.append(f'<circle cx="{_fmt(x_px(n))}" cy="{_fmt(y_px(ov.level))}" '

@@ -99,7 +99,7 @@ def test_c4_payload_curve_breakdown(capsys):
     assert report.FIG6_RPEAK_RANGE == (1e15, 1.1e18)
     cs = report.fig6_panel("HPL")
     rmax = next(s for s in cs.series if s.name == "rmax")
-    points = list(rmax.points)
+    points = list(zip(rmax.xs, rmax.ys))
     peak_i, (peak_x, peak_y) = max(enumerate(points), key=lambda p: p[1][1])
     tail = [y for _, y in points[peak_i:]]
     decline = 1.0 - min(tail) / peak_y

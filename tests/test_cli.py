@@ -350,7 +350,7 @@ class TestSweep:
         rmax = next(s for s in report.build_figure(fig_id).series
                     if s.name == "rmax")
         assert [(float(r_peak) / 1e18, float(r_max) / 1e18)
-                for r_peak, r_max, _ in rows] == list(rmax.points)
+                for r_peak, r_max, _ in rows] == list(zip(rmax.xs, rmax.ys))
 
     @pytest.mark.parametrize("argv,range_text", [
         (["--points", "3", "--rpeak-min", "5e-324", "--rpeak-max", "1e-323",
@@ -424,6 +424,20 @@ class TestTimeline:
                            "--data", str(REPO_DATA / "fig4_points.csv"))
         assert (rc, out) == (2, "")
         assert err == "error: machine 'Taihulight' mixes benchmarks HPCG, HPL\n"
+
+    @pytest.mark.parametrize("argv", [["timeline", "--machine", "Summit"],
+                                      ["figure", "3", "--format", "svg"]])
+    def test_two_rmax_values_on_one_date_is_data_error(self, capsys, tmp_path, argv):
+        # one list edition holds one rmax per machine, so no ratio is made
+        data = tmp_path / "twice.csv"
+        data.write_text("machine,date,benchmark,rpeak_flops,rmax_pflops,cores\n"
+                        "Summit,2018.0,HPL,,122.3,\nSummit,2018.0,HPL,,100.0,\n",
+                        encoding="utf-8")
+        out_path = tmp_path / "out"
+        rc, out, err = run(capsys, *argv, "--data", str(data), "-o", str(out_path))
+        assert (rc, out, err) == (
+            2, "", "error: machine 'Summit' has two rmax values on date 2018.0\n")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("argv", [["timeline", "--machine", "A"],
                                       ["figure", "3"]])

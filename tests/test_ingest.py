@@ -313,6 +313,14 @@ class TestTimeline:
                            match="machine 'A' mixes benchmarks HPCG, HPL$"):
             timeline(records, "A")
 
+    def test_two_rmax_values_on_one_date_name_the_machine_and_date(self):
+        records, _ = parse(HEADER + "Summit,2017.5,HPL,,9e16,\n"
+                                    "Summit,2018.0,HPL,,122.3e15,\n"
+                                    "Summit,2018.0,HPL,,100.0e15,\n")
+        with pytest.raises(ValueError, match="machine 'Summit' has two rmax "
+                                             "values on date 2018.0$"):
+            timeline(records, "Summit")
+
     def test_benchmark_without_rmax_is_not_mixed_in(self):
         records, _ = parse(HEADER + "A,2018.0,HPL,,1e17,\n"
                                     "A,2018.5,HPCG,2e17,,\n"

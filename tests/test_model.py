@@ -5,6 +5,7 @@ decimal arithmetic and frozen here.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,17 @@ class TestAlphaFromMeasurement:
     def test_degenerate_below_two_pus(self):
         with pytest.raises(ValueError, match="degenerate"):
             alpha_from_measurement(1, 0.9)
+
+    @settings(max_examples=500, derandomize=True)
+    @given(st.integers(2, 10**8),
+           st.one_of(st.floats(1e-6, 1.0),  # and the last floats below 1:
+                     st.integers(1, 2**20).map(lambda k: 1.0 - k * 2.0**-53)))
+    def test_within_three_ulps_of_the_exact_inversion(self, n_proc, eff):
+        # exact (1 - eff) / eff / (N - 1) at the float eff and integer N; the
+        # float form rounds at most three times (N - 1 is exact), one ulp each
+        exact = (1 - Fraction(eff)) / Fraction(eff) / (n_proc - 1)
+        error = abs(Fraction(alpha_from_measurement(n_proc, eff)) - exact)
+        assert error <= 3 * Fraction(math.ulp(float(exact)))
 
     @pytest.mark.parametrize("eff", [0.0, -0.1, 1.1])
     def test_invalid_efficiency(self, eff):

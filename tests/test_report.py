@@ -63,21 +63,21 @@ class TestSurface:
     def test_corner_n_equals_one(self):
         cs = fig1_surface()
         for s in cs.series:
-            n, eff = s.points[0]
+            n, eff = s.xs[0], s.ys[0]
             assert n == 1.0
             assert eff == 1.0
 
     def test_monotone_along_n(self):
         cs = fig1_surface()
         for s in cs.series:
-            effs = [y for _, y in s.points]
+            effs = s.ys
             assert all(a >= b for a, b in zip(effs, effs[1:]))
 
     def test_every_cell_is_the_model_efficiency(self):
         # the grid evaluates the model's formula inline
         for s in build_figure("1").series:
             assert all(eff == efficiency_from_nonparallel(n, s.level)
-                       for n, eff in s.points)
+                       for n, eff in zip(s.xs, s.ys))
 
     def test_measured_overlays(self):
         records, _ = ingest.load_bundled("fig4_points.csv")
@@ -87,7 +87,7 @@ class TestSurface:
         assert names == sorted(names)
         assert set(names) == {"HPCG measured", "HPL measured"}
         for ov in cs.overlays:
-            ((n, eff),) = ov.points  # one record per overlay
+            ((n, eff),) = zip(ov.xs, ov.ys)  # one record per overlay
             assert n >= 2 and 0 < eff <= 1
             # placed at the serial fraction derive inverted, not re-solved
             assert ov.level == alpha_from_measurement(n, eff)
@@ -191,13 +191,13 @@ class TestHeatmapImage:
         width, height, depth, color, rows = decode_png(
             base64.b64decode(href[len(prefix):], validate=True))
         assert (width, height, depth, color) == (512, 64, 8, 2)
-        values = [v for s in cs.series for _, v in s.points]
+        values = [v for s in cs.series for v in s.ys]
         vmin, vmax = math.log10(min(values)), math.log10(max(values))
         # top image row is the highest serial fraction
         by_level = sorted(cs.series, key=lambda s: s.level, reverse=True)
         for pixel_row, s in zip(rows, by_level):
             expected = [ramp((math.log10(v) - vmin) / (vmax - vmin))
-                        for _, v in s.points]
+                        for v in s.ys]
             assert pixel_row == expected
 
     def test_image_spans_the_outer_cell_edges(self, rendered):
@@ -211,7 +211,7 @@ class TestHeatmapImage:
                      logs[-1] + (logs[-1] - logs[-2]) / 2)
             return [lo_px + (e - a) / (b - a) * (hi_px - lo_px) for e in edges]
 
-        x0, x1 = outer_px([x for x, _ in cs.series[0].points], cs.x_axis,
+        x0, x1 = outer_px(list(cs.series[0].xs), cs.x_axis,
                           svg.MARGIN_LEFT, svg.WIDTH - svg.MARGIN_RIGHT)
         y_lo, y_hi = outer_px(sorted(s.level for s in cs.series), cs.y_axis,
                               svg.HEIGHT - svg.MARGIN_BOTTOM, svg.MARGIN_TOP)
@@ -239,8 +239,8 @@ class TestLineChart:
     def test_colours_wrap_through_series_then_overlays(self):
         # 12 entries: the overlays take the last two palette colours, then wrap
         ax = AxisSpec("x", "", "linear", 0.0, 1.0)
-        series = tuple(Series(f"s{i}", ((0.1, 0.1 * i), (0.9, 0.5))) for i in range(8))
-        overlays = tuple(Series(f"o{i}", ((0.5, 0.1 * i),)) for i in range(4))
+        series = tuple(Series(f"s{i}", (0.1, 0.9), (0.1 * i, 0.5)) for i in range(8))
+        overlays = tuple(Series(f"o{i}", (0.5,), (0.1 * i,)) for i in range(4))
         root = ET.fromstring(svg.render_svg(CurveSet("t", ax, ax, series, overlays)))
         elements = list(root)
         data = [e for e in elements if e.get("clip-path") == "url(#plot)"]
@@ -265,7 +265,7 @@ class TestTimelineFigure:
     def test_summit_endpoint_and_gyoukou(self):
         records, _ = ingest.load_bundled("fig3_timeline.csv")
         cs = fig3_timeline(records)
-        by_name = {s.name: s.points for s in cs.series}
+        by_name = {s.name: tuple(zip(s.xs, s.ys)) for s in cs.series}
         assert by_name["Summit"][-1] == (2019.0, pytest.approx(148.6, rel=1e-12))
         assert by_name["Gyoukou"] == (
             (2017.0, pytest.approx(1.677, rel=1e-12)),
@@ -286,7 +286,8 @@ class TestTimelineFigure:
 def taihulight_bracket(name):
     """The two samples of figure 4's line ``name`` on either side of
     Taihulight's measured nominal performance, 0.1254 Eflop/s."""
-    pts = next(s for s in fig4_curves().series if s.name == name).points
+    s = next(s for s in fig4_curves().series if s.name == name)
+    pts = list(zip(s.xs, s.ys))
     return next((a, b) for a, b in zip(pts, pts[1:]) if a[0] <= 0.1254 <= b[0])
 
 
@@ -315,7 +316,7 @@ class TestPayloadVsNominal:
     def test_overlays_include_measured_and_neural_point(self):
         records, _ = ingest.load_bundled("fig4_points.csv")
         cs = fig4_curves(measured=records)
-        by_name = {ov.name: ov.points for ov in cs.overlays}
+        by_name = {ov.name: tuple(zip(ov.xs, ov.ys)) for ov in cs.overlays}
         assert (0.125, 0.0930) in by_name["HPL measured"]
         assert (0.188, 0.1223) in by_name["HPL measured"]
         assert by_name["neural-sim"] == ((9.83e-6, 8.39e-6),)
@@ -335,22 +336,22 @@ class TestRelativisticFigure:
         cs = fig5_curves()
         n1 = next(s for s in cs.series if s.name == "v(t), n=1")
         n2 = next(s for s in cs.series if s.name == "v(t), n=2")
-        assert n1.points[-1][1] < LIGHT_SPEED
-        assert n1.points[-1][1] > 0.995 * LIGHT_SPEED
-        assert n2.points[-1][1] < LIGHT_SPEED / 2
-        assert n2.points[-1][1] > 0.995 * LIGHT_SPEED / 2
+        assert n1.ys[-1] < LIGHT_SPEED
+        assert n1.ys[-1] > 0.995 * LIGHT_SPEED
+        assert n2.ys[-1] < LIGHT_SPEED / 2
+        assert n2.ys[-1] > 0.995 * LIGHT_SPEED / 2
 
     def test_curves_start_together(self):
         cs = fig5_curves()
         for s in cs.series:
-            t, v = s.points[0]
+            t, v = s.xs[0], s.ys[0]
             assert t == 86400.0
             assert v == pytest.approx(8.476e5, rel=1e-3)
 
     def test_monotone(self):
         cs = fig5_curves()
         for s in cs.series:
-            vs = [v for _, v in s.points]
+            vs = s.ys
             assert all(a < b for a, b in zip(vs, vs[1:]))
 
 
@@ -358,29 +359,30 @@ class TestDecompositionPanels:
     def test_constant_software_series(self):
         cs = fig6_panel("HPL")
         alpha_sw = next(s for s in cs.series if s.name == "alpha_sw")
-        assert all(y == 2e-8 for _, y in alpha_sw.points)
+        assert all(y == 2e-8 for y in alpha_sw.ys)
 
     def test_hpl_panel_peak_location(self):
         cs = fig6_panel("HPL")
         rmax = next(s for s in cs.series if s.name == "rmax")
-        x_star, _ = max(rmax.points, key=lambda p: p[1])
+        x_star, _ = max(zip(rmax.xs, rmax.ys), key=lambda p: p[1])
         assert 0.3 < x_star < 0.7
         assert rmax.axis == "y2"
 
     def test_nn_panel_peak_location(self):
         cs = fig6_panel("NN")
         rmax = next(s for s in cs.series if s.name == "rmax")
-        x_star, _ = max(rmax.points, key=lambda p: p[1])
+        x_star, _ = max(zip(rmax.xs, rmax.ys), key=lambda p: p[1])
         assert x_star == pytest.approx(0.00632, rel=0.02)
 
     def test_measured_dots(self):
-        assert fig6_panel("HPL").overlays[0].points == ((0.00587, 0.005),)
-        assert fig6_panel("HPCG").overlays[0].points == ((0.00587, 0.000095),)
+        hpl, hpcg = fig6_panel("HPL").overlays[0], fig6_panel("HPCG").overlays[0]
+        assert tuple(zip(hpl.xs, hpl.ys)) == ((0.00587, 0.005),)
+        assert tuple(zip(hpcg.xs, hpcg.ys)) == ((0.00587, 0.000095),)
         assert fig6_panel("NN").overlays == ()
 
     def test_total_is_sum_of_parts(self):
         cs = fig6_panel("HPCG")
-        by_name = {s.name: s.points for s in cs.series}
+        by_name = {s.name: tuple(zip(s.xs, s.ys)) for s in cs.series}
         for (x, sw), (_, os_), (_, total) in zip(
                 by_name["alpha_sw"], by_name["alpha_os"], by_name["alpha_total"]):
             assert total == pytest.approx(sw + os_, rel=1e-12)
@@ -435,13 +437,13 @@ class TestEmission:
         ax = AxisSpec("x", "", "linear", 0.0, 1.0)
         names = ("a,b", 'say "hi"', "two\nlines", "", "plain")
         cs = CurveSet("t", ax, ax,
-                      series=tuple(Series(n, ((0.5, 0.25), (1, 2))) for n in names),
-                      overlays=tuple(Series(n, ((0.1, 1e-300),)) for n in names))
+                      series=tuple(Series(n, (0.5, 1), (0.25, 2)) for n in names),
+                      overlays=tuple(Series(n, (0.1,), (1e-300,)) for n in names))
         reference = io.StringIO()
         writer = csv.writer(reference, lineterminator="\n")
         writer.writerow(["series", "x", "y"])
         for s in cs.series + cs.overlays:
-            for x, y in s.points:
+            for x, y in zip(s.xs, s.ys):
                 writer.writerow([s.name, repr(float(x)), repr(float(y))])
         sink = io.StringIO()
         emit_csv(cs, sink)
@@ -452,15 +454,20 @@ class TestEmission:
     @settings(max_examples=500, derandomize=True)
     @given(st.data())
     def test_csv_bytes_equal_the_unshared_emitter(self, data):
-        # series draw their x values from one pool, so they share them
+        # series draw their xs from one pool of tuples: a series shares a
+        # pooled tuple with other series or holds an equal copy of it
         ints = st.integers(-2**60, 2**60)
-        pool = data.draw(st.lists(st.one_of(
+        pool = data.draw(st.lists(st.lists(st.one_of(
             st.floats(), ints,
             st.sampled_from([0.0, -0.0, 0, math.nan, math.inf, -math.inf])),
-            min_size=1, max_size=6))
-        point = st.tuples(st.sampled_from(pool), st.one_of(st.floats(), ints))
-        series = st.builds(Series, st.text(max_size=3),
-                           st.lists(point, min_size=1, max_size=8).map(tuple))
+            min_size=1, max_size=8).map(tuple), min_size=1, max_size=3))
+
+        def series_over(xs):
+            return st.builds(Series, st.text(max_size=3),
+                             st.sampled_from([xs, tuple(list(xs))]),
+                             st.lists(st.one_of(st.floats(), ints), min_size=len(xs),
+                                      max_size=len(xs)).map(tuple))
+        series = st.sampled_from(pool).flatmap(series_over)
         ax = AxisSpec("x", "", "linear", 0.0, 1.0)
         cs = CurveSet("t", ax, ax,
                       series=tuple(data.draw(st.lists(series, min_size=1, max_size=4))),
@@ -472,8 +479,8 @@ class TestEmission:
 
     def test_signed_zeros_and_int_x_keep_their_text(self):
         ax = AxisSpec("x", "", "linear", -1.0, 1.0)
-        cs = CurveSet("t", ax, ax, series=(Series("a", ((0.0, 1), (-0.0, 2), (1, 3))),
-                                           Series("b", ((-0.0, 4), (0.0, 5), (1.0, 6)))))
+        cs = CurveSet("t", ax, ax, series=(Series("a", (0.0, -0.0, 1), (1, 2, 3)),
+                                           Series("b", (-0.0, 0.0, 1.0), (4, 5, 6))))
         sink = io.StringIO()
         emit_csv(cs, sink)
         assert sink.getvalue() == ("series,x,y\na,0.0,1.0\na,-0.0,2.0\na,1.0,3.0\n"
@@ -503,15 +510,31 @@ class TestCurveSetValidation:
     def test_series_nonempty(self):
         ax = AxisSpec("x", "", "linear", 0.0, 1.0)
         with pytest.raises(ValueError, match="empty"):
-            CurveSet("t", ax, ax, series=(Series("s", ()),))
+            CurveSet("t", ax, ax, series=(Series("s", (), ()),))
 
     def test_log_axis_positive(self):
         log_ax = AxisSpec("x", "", "log10", 1.0, 10.0)
         with pytest.raises(ValueError, match="log"):
             CurveSet("t", log_ax, log_ax,
-                     series=(Series("s", ((1.0, -1.0),)),))
+                     series=(Series("s", (1.0,), (-1.0,)),))
         with pytest.raises(ValueError, match="min > 0"):
             AxisSpec("x", "", "log10", 0.0, 10.0)
+
+    def test_ragged_series(self):
+        ax = AxisSpec("x", "", "linear", 0.0, 1.0)
+        with pytest.raises(ValueError, match="'s' has 2 x but 1 y values"):
+            CurveSet("t", ax, ax, series=(Series("s", (0.1, 0.2), (0.5,)),))
+
+    @pytest.mark.parametrize("as_overlay", [False, True], ids=["series", "overlay"])
+    def test_log_x_checked_in_each_distinct_xs(self, as_overlay):
+        # the second xs is a tuple of its own, so its check is not skipped
+        log_ax = AxisSpec("x", "", "log10", 1.0, 10.0)
+        first = Series("a", (1.0, 2.0), (1.0, 1.0))
+        bad = Series("b", (2.0, 0.0), (1.0, 1.0))
+        parts = ({"series": (first,), "overlays": (bad,)} if as_overlay
+                 else {"series": (first, bad)})
+        with pytest.raises(ValueError, match="'b' has x <= 0 on a log axis"):
+            CurveSet("t", log_ax, log_ax, **parts)
 
     def test_axis_order(self):
         with pytest.raises(ValueError):
@@ -547,6 +570,12 @@ class TestBuildFigure:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == frozen[fig_id]
 
+    @pytest.mark.parametrize("fig_id", ["1", "4", "5", "6A", "6B", "6C"])
+    def test_model_series_share_one_xs(self, fig_id):
+        # validation, CSV and SVG handle a run of series over one xs tuple once
+        cs = build_figure(fig_id)
+        assert all(s.xs is cs.series[0].xs for s in cs.series)
+
     def test_data_parse_warnings_are_collected(self, tmp_path):
         with open(ingest.bundled_path("fig3_timeline.csv"), encoding="utf-8") as fh:
             clean = fh.read()
@@ -567,6 +596,6 @@ class TestBuildFigure:
         # the sampled panel curve's maximum matches the closed-form peak
         cs = build_figure("6C")
         rmax = next(s for s in cs.series if s.name == "rmax")
-        sampled_max = max(y for _, y in rmax.points)
+        sampled_max = max(rmax.ys)
         peak = peak_point(DEFAULT_MACHINE, preset("NN").decomposition)
         assert sampled_max == pytest.approx(peak.r_max_star / 1e18, rel=1e-3)
