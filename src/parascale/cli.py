@@ -317,9 +317,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("relativistic", help="speed under constant acceleration")
     p.add_argument("--t", type=_finite_float, required=True,
                    help="time in seconds")
-    p.add_argument("--n", type=_finite_float, default=1.0,
+    p.add_argument("--n", type=_finite_float, default=RelativisticParams().density,
                    help="optical density (dimensionless, >= 1)")
-    p.add_argument("--a", type=_finite_float, default=9.81,
+    p.add_argument("--a", type=_finite_float, default=RelativisticParams().accel,
                    help="acceleration in m/s^2")
     p.set_defaults(func=cmd_relativistic)
 

@@ -73,27 +73,22 @@ class ParallelSystem(namedtuple("ParallelSystem",
                                 "n_proc perf_single alpha nonparallel")):
     """A machine described by PU count, per-PU performance and parallel fraction.
 
-    ``nonparallel`` is stored explicitly alongside ``alpha`` because measured
-    systems are characterised by their serial remainder (values like 3.3e-8),
-    and reconstructing it as ``1 - alpha`` would lose precision.  Use
-    :meth:`from_nonparallel` when that is the quantity you have.
+    ``ParallelSystem(n_proc, perf_single, alpha)`` stores ``nonparallel`` as
+    ``1 - alpha``.  Measured systems are characterised by their serial
+    remainder (values like 3.3e-8), which ``1 - alpha`` would round, so
+    :meth:`from_nonparallel` is the one way to store it exactly.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n_proc: float, perf_single: float, alpha: float,
-                nonparallel: float = math.nan):
+    def __new__(cls, n_proc: float, perf_single: float, alpha: float):
         if n_proc < 1:
             raise ValueError(f"n_proc must be >= 1, got {n_proc}")
         if perf_single <= 0:
             raise ValueError(f"perf_single must be > 0, got {perf_single}")
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        if math.isnan(nonparallel):
-            nonparallel = 1.0 - alpha
-        elif not 0.0 <= nonparallel <= 1.0:
-            raise ValueError(f"nonparallel must be in [0, 1], got {nonparallel}")
-        self = super().__new__(cls, n_proc, perf_single, alpha, nonparallel)
+        self = super().__new__(cls, n_proc, perf_single, alpha, 1.0 - alpha)
         require_finite(self)  # alpha and nonparallel are in [0, 1] already
         return self
 
@@ -101,8 +96,10 @@ class ParallelSystem(namedtuple("ParallelSystem",
     def from_nonparallel(cls, n_proc: float, perf_single: float,
                          nonparallel: float) -> "ParallelSystem":
         """Build a system from the serial fraction (1 - alpha), kept exact."""
-        return cls(n_proc, perf_single, alpha=1.0 - nonparallel,
-                   nonparallel=nonparallel)
+        if not 0.0 <= nonparallel <= 1.0:
+            raise ValueError(f"nonparallel must be in [0, 1], got {nonparallel}")
+        system = cls(n_proc, perf_single, 1.0 - nonparallel)
+        return system._replace(nonparallel=nonparallel)
 
 
 class RelativisticParams(namedtuple("RelativisticParams", "accel density")):
@@ -126,7 +123,7 @@ class RelativisticParams(namedtuple("RelativisticParams", "accel density")):
 
 
 class PerformancePoint(namedtuple("PerformancePoint", "r_peak r_max efficiency")):
-    """One (nominal, payload) performance pair with its efficiency."""
+    """One (nominal, payload) performance pair with its efficiency in (0, 1]."""
 
     __slots__ = ()
 
@@ -137,8 +134,8 @@ class PerformancePoint(namedtuple("PerformancePoint", "r_peak r_max efficiency")
                 f"r_peak={r_peak}")
         if math.isnan(efficiency):
             efficiency = r_max / r_peak
-        elif not math.isfinite(efficiency):
-            raise ValueError(f"efficiency must be finite, got {efficiency}")
+        elif not 0.0 < efficiency <= 1.0:
+            raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
         return super().__new__(cls, r_peak, r_max, efficiency)
 
 

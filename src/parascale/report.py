@@ -70,13 +70,14 @@ class AxisSpec(namedtuple("AxisSpec", "label unit scale min max")):
 
 
 class Series(namedtuple("Series", "name xs ys axis level", defaults=("y", None))):
-    """Named x and y columns on axis "y" or "y2"; ``level``: their y on a heat map."""
+    """Named x and y columns on axis "y" or "y2"; on a heat map ``level`` is their y."""
 
     __slots__ = ()
 
 
 class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_axis")):
-    """A figure's series and overlays; a heat map when its series carry a ``level``."""
+    """A figure's series and overlays, a heat map if its series carry a ``level``;
+    refuses a value its axes cannot show, an axis it lacks and mixed levels."""
 
     __slots__ = ()
 
@@ -85,6 +86,7 @@ class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_ax
                 y2_axis: AxisSpec | None = None):
         if not series:
             raise ValueError("curve set needs at least one series")
+        heatmap = series[0].level is not None
         xs = None
         for s in (*series, *overlays):  # both are drawn on these axes
             if not s.xs:
@@ -92,12 +94,21 @@ class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_ax
             if len(s.xs) != len(s.ys):
                 raise ValueError(f"series {s.name!r} has {len(s.xs)} x but "
                                  f"{len(s.ys)} y values")
-            if x_axis.scale == "log10" and s.xs is not xs and any(x <= 0 for x in s.xs):
-                raise ValueError(f"series {s.name!r} has x <= 0 on a log axis")
-            xs = s.xs  # a run of series that share their x samples is checked once
-            y_spec = y2_axis if (s.axis == "y2" and y2_axis) else y_axis
-            # a point with a level is drawn at that level, not at its y
-            if s.level is None and y_spec.scale == "log10" and any(y <= 0 for y in s.ys):
+            if s.xs is not xs:  # series that share their x samples are checked once
+                xs = s.xs
+                if not all(map(math.isfinite, xs)):
+                    raise ValueError(f"series {s.name!r} has a non-finite x")
+                if x_axis.scale == "log10" and min(xs) <= 0:
+                    raise ValueError(f"series {s.name!r} has x <= 0 on a log axis")
+            y_spec = {"y": y_axis, "y2": y2_axis}.get(s.axis)
+            if y_spec is None:
+                raise ValueError(f"series {s.name!r} is on a missing axis {s.axis!r}")
+            if (s.level is None) == heatmap:
+                raise ValueError(f"levels mixed at series {s.name!r}")
+            ys = (s.level,) if heatmap else s.ys  # a heat map draws a point at its level
+            if not all(map(math.isfinite, ys)):
+                raise ValueError(f"series {s.name!r} has a non-finite y")
+            if y_spec.scale == "log10" and min(ys) <= 0:
                 raise ValueError(f"series {s.name!r} has y <= 0 on a log axis")
         return super().__new__(cls, title, x_axis, y_axis, series, overlays, y2_axis)
 

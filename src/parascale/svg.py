@@ -13,16 +13,12 @@ from collections.abc import Callable, Iterable, Sequence
 
 WIDTH = 960
 HEIGHT = 600
-MARGIN_LEFT = 80
-MARGIN_RIGHT = 85
-MARGIN_TOP = 48
-MARGIN_BOTTOM = 64
 
 # Plot box in pixels: left, right, top, bottom edges.
-PLOT_L = MARGIN_LEFT
-PLOT_R = WIDTH - MARGIN_RIGHT
-PLOT_T = MARGIN_TOP
-PLOT_B = HEIGHT - MARGIN_BOTTOM
+PLOT_L = 80
+PLOT_R = WIDTH - 85
+PLOT_T = 48
+PLOT_B = HEIGHT - 64
 
 PALETTE = [
     "#1f77b4",
@@ -160,7 +156,7 @@ def _render_lines(cs, out, x_px, y_px, y2_px) -> None:
     lx = PLOT_L + 12
     for i, s in enumerate((*cs.series, *cs.overlays)):
         color = PALETTE[i % len(PALETTE)]
-        to_y = y2_px if (s.axis == "y2" and y2_px is not None) else y_px
+        to_y = y2_px if s.axis == "y2" else y_px
         ly = PLOT_T + 16 + 17 * i
         if i < len(cs.series):  # a series is a line, an overlay dots
             if s.xs is not xs:  # series that share their x samples map them once
@@ -196,11 +192,6 @@ def _rgb(ts: Iterable[float]) -> bytes:
             u = (t - 0.5) * 2.0
             channels += (255 * u, 140 + 90 * u, 140 - 89 * u)
     return bytes(map(round, channels))
-
-
-def _colormap(t: float) -> str:
-    """The :func:`_rgb` colour as a ``#rrggbb`` fill."""
-    return "#" + _rgb((t,)).hex()
 
 
 def _png_href(rows: list[bytes], width: int) -> str:
@@ -259,12 +250,12 @@ def _render_heatmap(cs, out, x_px, y_px) -> None:
     bar_x = PLOT_R + 18
     bar_t, bar_b = PLOT_T + 10, PLOT_B - 10
     steps = 24
+    fills = _rgb([i / steps for i in range(steps)])
     for i in range(steps):
-        t0 = i / steps
         y0 = bar_b - (bar_b - bar_t) * (i + 1) / steps
         h = (bar_b - bar_t) / steps
         out.append(f'<rect x="{bar_x}" y="{_fmt(y0)}" width="12" '
-                   f'height="{_fmt(h + 0.5)}" fill="{_colormap(t0)}"/>')
+                   f'height="{_fmt(h + 0.5)}" fill="#{fills[3 * i:3 * i + 3].hex()}"/>')
     out.append(f'<text x="{bar_x + 16}" y="{_fmt(bar_b + 4)}" font-size="11" '
                f'{_FONT}>{10.0 ** vmin:.2g}</text>')
     out.append(f'<text x="{bar_x + 16}" y="{_fmt(bar_t + 4)}" font-size="11" '

@@ -213,8 +213,9 @@ class TestValidation:
         (ParallelSystem, dict(n_proc=10, perf_single=math.nan, alpha=0.5)),
         (ParallelSystem, dict(n_proc=10, perf_single=math.inf, alpha=0.5)),
         (ParallelSystem, dict(n_proc=10, perf_single=1e9, alpha=math.nan)),
-        (ParallelSystem, dict(n_proc=10, perf_single=1e9, alpha=0.5,
-                              nonparallel=math.inf)),
+        pytest.param(ParallelSystem.from_nonparallel,
+                     dict(n_proc=10, perf_single=1e9, nonparallel=math.inf),
+                     id="ParallelSystem-kwargs5"),
         (RelativisticParams, dict(accel=math.nan)),
         (RelativisticParams, dict(accel=math.inf)),
         # explicit ids from here on: each case keeps its id as others come and go
@@ -233,12 +234,30 @@ class TestValidation:
         pytest.param(PerformancePoint,
                      dict(r_peak=2e15, r_max=1e15, efficiency=math.inf),
                      id="PerformancePoint-kwargs16"),
+        pytest.param(ParallelSystem.from_nonparallel,
+                     dict(n_proc=10, perf_single=1e9, nonparallel=math.nan),
+                     id="ParallelSystem-nonparallel-nan"),
     ])
     def test_non_finite_fields_rejected(self, cls, kwargs):
-        # nan in nonparallel or efficiency means "derive it", so only
-        # infinities are tried there
+        # a nan efficiency means "derive it", so only an infinity is tried there
         with pytest.raises(ValueError):
             cls(**kwargs)
+
+    @pytest.mark.parametrize("efficiency", [
+        pytest.param(0.0, id="zero"),
+        pytest.param(1.5, id="above-one"),
+        pytest.param(-3.0, id="negative"),
+    ])
+    def test_efficiency_outside_unit_interval_rejected(self, efficiency):
+        with pytest.raises(ValueError, match=r"efficiency must be in \(0, 1\]"):
+            PerformancePoint(r_peak=2e15, r_max=1e15, efficiency=efficiency)
+
+    def test_nonparallel_is_not_an_argument_of_the_constructor(self):
+        # only from_nonparallel stores a serial fraction other than 1 - alpha
+        with pytest.raises(TypeError):
+            ParallelSystem(10, 1e9, 0.5, 0.9)
+        with pytest.raises(TypeError):
+            ParallelSystem(10, 1e9, alpha=0.5, nonparallel=0.9)
 
 
 class TestProperties:

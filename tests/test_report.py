@@ -145,8 +145,11 @@ class TestColourRamp:
         assert svg._rgb(ts) == b"".join(bytes(ramp(t)) for t in ts)
 
     def test_colormap_is_the_ramp_in_hex(self):
-        for t in RAMP_SWEEP:
-            assert svg._colormap(t) == "#%02x%02x%02x" % ramp(t)
+        # figure 1's colour bar: 24 fills from the bottom up, at t = i / 24
+        root = ET.fromstring(svg.render_svg(build_figure("1")))
+        bar = [e.get("fill") for e in root.iter(SVG_NS + "rect")
+               if e.get("x") == str(svg.PLOT_R + 18)]
+        assert bar == ["#%02x%02x%02x" % ramp(i / 24) for i in range(24)]
 
 
 class TestTicks:
@@ -211,10 +214,9 @@ class TestHeatmapImage:
                      logs[-1] + (logs[-1] - logs[-2]) / 2)
             return [lo_px + (e - a) / (b - a) * (hi_px - lo_px) for e in edges]
 
-        x0, x1 = outer_px(list(cs.series[0].xs), cs.x_axis,
-                          svg.MARGIN_LEFT, svg.WIDTH - svg.MARGIN_RIGHT)
+        x0, x1 = outer_px(list(cs.series[0].xs), cs.x_axis, svg.PLOT_L, svg.PLOT_R)
         y_lo, y_hi = outer_px(sorted(s.level for s in cs.series), cs.y_axis,
-                              svg.HEIGHT - svg.MARGIN_BOTTOM, svg.MARGIN_TOP)
+                              svg.PLOT_B, svg.PLOT_T)
         got = [float(image.get(k)) for k in ("x", "y", "width", "height")]
         assert got == pytest.approx([x0, y_hi, x1 - x0, y_lo - y_hi], abs=0.01)
         assert image.get("preserveAspectRatio") == "none"
@@ -455,17 +457,18 @@ class TestEmission:
     @given(st.data())
     def test_csv_bytes_equal_the_unshared_emitter(self, data):
         # series draw their xs from one pool of tuples: a series shares a
-        # pooled tuple with other series or holds an equal copy of it
+        # pooled tuple with other series or holds an equal copy of it.  The
+        # values are finite: a curve set refuses nan and infinities
         ints = st.integers(-2**60, 2**60)
+        floats = st.floats(allow_nan=False, allow_infinity=False)
         pool = data.draw(st.lists(st.lists(st.one_of(
-            st.floats(), ints,
-            st.sampled_from([0.0, -0.0, 0, math.nan, math.inf, -math.inf])),
+            floats, ints, st.sampled_from([0.0, -0.0, 0])),
             min_size=1, max_size=8).map(tuple), min_size=1, max_size=3))
 
         def series_over(xs):
             return st.builds(Series, st.text(max_size=3),
                              st.sampled_from([xs, tuple(list(xs))]),
-                             st.lists(st.one_of(st.floats(), ints), min_size=len(xs),
+                             st.lists(st.one_of(floats, ints), min_size=len(xs),
                                       max_size=len(xs)).map(tuple))
         series = st.sampled_from(pool).flatmap(series_over)
         ax = AxisSpec("x", "", "linear", 0.0, 1.0)
@@ -539,6 +542,38 @@ class TestCurveSetValidation:
     def test_axis_order(self):
         with pytest.raises(ValueError):
             AxisSpec("x", "", "linear", 2.0, 1.0)
+
+    @pytest.mark.parametrize("parts,message", [
+        pytest.param({"series": (Series("a", (1.0, math.nan), (2.0, 3.0)),)},
+                     "'a' has a non-finite x", id="nan-x"),
+        pytest.param({"series": (Series("a", (1.0, 2.0), (2.0, 3.0)),
+                                 Series("b", (1.0, math.inf), (2.0, 3.0)))},
+                     "'b' has a non-finite x", id="inf-x-in-second-xs"),
+        pytest.param({"series": (Series("a", (1.0,), (2.0,)),),
+                      "overlays": (Series("o", (1.0,), (math.inf,)),)},
+                     "'o' has a non-finite y", id="inf-y-overlay"),
+        pytest.param({"series": (Series("a", (1.0,), (math.nan,)),)},
+                     "'a' has a non-finite y", id="nan-y"),
+        pytest.param({"series": (Series("a", (1.0,), (2.0,), axis="y2"),)},
+                     "'a' is on a missing axis 'y2'", id="y2-without-y2-axis"),
+        pytest.param({"series": (Series("a", (1.0,), (2.0,), axis="Y2"),),
+                      "y2_axis": AxisSpec("y2", "", "log10", 1.0, 10.0)},
+                     "'a' is on a missing axis 'Y2'", id="unknown-axis"),
+        pytest.param({"series": (Series("a", (1.0, 2.0), (0.5, 0.5), level=0.0),)},
+                     "'a' has y <= 0 on a log axis", id="level-zero-on-log-y"),
+        pytest.param({"series": (Series("a", (1.0, 2.0), (0.5, 0.5), level=math.nan),)},
+                     "'a' has a non-finite y", id="nan-level"),
+        pytest.param({"series": (Series("a", (1.0, 2.0), (0.5, 0.5), level=2.0),),
+                      "overlays": (Series("o", (1.0,), (0.5,)),)},
+                     "levels mixed at series 'o'", id="heatmap-overlay-without-level"),
+        pytest.param({"series": (Series("a", (1.0, 2.0), (0.5, 0.5)),
+                                 Series("b", (1.0, 2.0), (0.5, 0.5), level=2.0))},
+                     "levels mixed at series 'b'", id="line-chart-series-with-level"),
+    ])
+    def test_refuses_what_the_axes_cannot_show(self, parts, message):
+        log_ax = AxisSpec("x", "", "log10", 1.0, 10.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CurveSet("t", log_ax, log_ax, **parts)
 
 
 class TestBuildFigure:
