@@ -1,8 +1,8 @@
 """Saturation-corrected parallel-scaling model and benchmark analysis."""
 
-from .contributions import (AlphaDecomposition, BenchmarkPreset, MachineModel,
-                            ModelDomainError, PeakPoint, alpha_os, alpha_total,
-                            analytic_peak_n, peak_point, preset, rmax_of_rpeak)
+from .contributions import (AlphaDecomposition, MachineModel, ModelDomainError,
+                            PeakPoint, alpha_os, alpha_total, analytic_peak_n,
+                            peak_point, preset, rmax_of_rpeak)
 from .ingest import (DerivedRecord, MachineRecord, ParseError, TimelineEntry,
                      derive, parse_records, serialize_records, timeline)
 from .model import (ParallelSystem, PerformancePoint, RelativisticParams,
@@ -13,9 +13,9 @@ from .model import (ParallelSystem, PerformancePoint, RelativisticParams,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaDecomposition", "BenchmarkPreset", "DerivedRecord", "MachineModel",
-    "MachineRecord", "ModelDomainError", "ParallelSystem", "ParseError",
-    "PeakPoint", "PerformancePoint", "RelativisticParams", "TimelineEntry",
+    "AlphaDecomposition", "DerivedRecord", "MachineModel", "MachineRecord",
+    "ModelDomainError", "ParallelSystem", "ParseError", "PeakPoint",
+    "PerformancePoint", "RelativisticParams", "TimelineEntry",
     "alpha_from_measurement", "alpha_os", "alpha_total", "analytic_peak_n",
     "classic_speed", "classic_total_perf", "derive", "efficiency",
     "efficiency_from_nonparallel", "modern_total_perf", "parse_records",

@@ -32,9 +32,8 @@ from . import ingest
 from .contributions import (DEFAULT_MACHINE, AlphaDecomposition, MachineModel,
                             peak_point, preset, preset_names, rmax_of_rpeak)
 from .model import (FIGURE_DATA, FIGURE_IDS, PAYLOAD_RPEAK_RANGE, SAMPLES_PER_CURVE,
-                    ParallelSystem, PerformancePoint, RelativisticParams,
-                    alpha_from_measurement, classic_speed, classic_total_perf,
-                    logspace, modern_total_perf, relativistic_speed)
+                    PerformancePoint, RelativisticParams, alpha_from_measurement,
+                    classic_speed, efficiency, logspace, relativistic_speed)
 from .units import format_flops, parse_flops
 
 
@@ -69,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _preset_setup(args):
     """The preset's decomposition and default machine, ``--override``s applied."""
-    decomp = preset(args.preset).decomposition
+    decomp = preset(args.preset)
     fields = {**decomp._asdict(), **DEFAULT_MACHINE._asdict()}
     for pair in args.override or ():
         if "=" not in pair:
@@ -151,13 +150,11 @@ def cmd_predict(args) -> int:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if args.p <= 0:
         raise UsageError(f"--p must be > 0, got {args.p:g}")
-    system = ParallelSystem(args.n, args.p, args.alpha)
-    r_peak = classic_total_perf(system)
+    r_peak = args.n * args.p
     if not math.isfinite(r_peak):
         raise ValueError(f"--n * --p overflows: "
-                         f"{args.n:.6g} * {system.perf_single:.6g} flop/s")
-    _print_point(PerformancePoint(r_peak=r_peak, r_max=modern_total_perf(system)),
-                 args.unit)
+                         f"{args.n:.6g} * {args.p:.6g} flop/s")
+    _print_point(PerformancePoint(r_peak, efficiency(args.n, args.alpha)), args.unit)
     return 0
 
 

@@ -76,12 +76,6 @@ class MachineModel(namedtuple("MachineModel", "perf_per_pu")):
         return self
 
 
-class BenchmarkPreset(namedtuple("BenchmarkPreset", "name decomposition")):
-    """A named workload with its :class:`AlphaDecomposition`."""
-
-    __slots__ = ()
-
-
 #: Machine the built-in presets are calibrated for: 100 Gflop/s per PU at 1 GHz.
 DEFAULT_MACHINE = MachineModel(perf_per_pu=100e9)
 
@@ -90,10 +84,10 @@ _TOTAL_CLOCKS = 2e13       # clock cycles in the full benchmark run
 _BIO_CLOCK_FACTOR = 5000.0  # grid-time sync period vs hardware clock period
 
 # (name, alpha_sw, bio_factor): the only values in which the presets differ.
-_PRESETS = {name: BenchmarkPreset(name, AlphaDecomposition(
+_PRESETS = {name: AlphaDecomposition(
                 alpha_sw=alpha_sw, ctx_switch_clocks=_CTX_SWITCH_CLOCKS,
                 total_clocks=_TOTAL_CLOCKS, loop_clocks_per_pu=1.0,
-                bio_factor=bio_factor))
+                bio_factor=bio_factor)
             for name, alpha_sw, bio_factor in (("HPL", 2e-8, 1.0),
                                                ("HPCG", 2e-6, 1.0),
                                                ("NN", 2e-6, _BIO_CLOCK_FACTOR))}
@@ -103,8 +97,9 @@ def preset_names() -> tuple[str, ...]:
     return tuple(_PRESETS)
 
 
-def preset(name: str) -> BenchmarkPreset:
-    """Look up a built-in benchmark preset (HPL, HPCG or NN)."""
+def preset(name: str) -> AlphaDecomposition:
+    """The decomposition of a built-in benchmark preset (HPL, HPCG or NN),
+    looked up by case-insensitive name."""
     try:
         return _PRESETS[name.upper()]
     except KeyError:
@@ -149,7 +144,7 @@ def rmax_of_rpeak(r_peak: float, m: MachineModel,
         raise ValueError(f"PU count r_peak / perf_per_pu overflows: "
                          f"{r_peak:.6g} / {m.perf_per_pu:.6g} flop/s")
     eff = efficiency_from_nonparallel(n_proc, alpha_total(n_proc, d))
-    return PerformancePoint(r_peak=r_peak, r_max=r_peak * eff, efficiency=eff)
+    return PerformancePoint(r_peak, eff)
 
 
 class PeakPoint(namedtuple("PeakPoint", "n_star r_peak_star r_max_star")):

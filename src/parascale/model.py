@@ -64,7 +64,7 @@ def require_finite(record) -> None:
 
 
 def require_efficiency(eff: float) -> None:
-    """Raise ValueError unless the measured efficiency ``eff`` is in (0, 1]."""
+    """Raise ValueError unless the efficiency ``eff`` is in (0, 1]."""
     if not 0.0 < eff <= 1.0:
         raise ValueError(f"efficiency must be in (0, 1], got {eff}")
 
@@ -123,19 +123,17 @@ class RelativisticParams(namedtuple("RelativisticParams", "accel density")):
 
 
 class PerformancePoint(namedtuple("PerformancePoint", "r_peak r_max efficiency")):
-    """One (nominal, payload) performance pair with its efficiency in (0, 1]."""
+    """Nominal performance and efficiency in (0, 1], with the payload
+    ``r_max = r_peak * efficiency`` they give."""
 
     __slots__ = ()
 
-    def __new__(cls, r_peak: float, r_max: float, efficiency: float = math.nan):
-        if not 0.0 < r_max <= r_peak < math.inf:
-            raise ValueError(
-                f"need 0 < r_max <= r_peak < inf, got r_max={r_max}, "
-                f"r_peak={r_peak}")
-        if math.isnan(efficiency):
-            efficiency = r_max / r_peak
-        elif not 0.0 < efficiency <= 1.0:
-            raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
+    def __new__(cls, r_peak: float, efficiency: float):
+        require_efficiency(efficiency)
+        r_max = r_peak * efficiency  # 0 if the product underflows
+        if not (r_max > 0.0 and r_peak < math.inf):
+            raise ValueError(f"need 0 < r_peak < inf and r_peak * efficiency > 0, "
+                             f"got r_peak={r_peak}, efficiency={efficiency}")
         return super().__new__(cls, r_peak, r_max, efficiency)
 
 

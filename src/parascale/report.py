@@ -77,7 +77,8 @@ class Series(namedtuple("Series", "name xs ys axis level", defaults=("y", None))
 
 class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_axis")):
     """A figure's series and overlays, a heat map if its series carry a ``level``;
-    refuses a value its axes cannot show, an axis it lacks and mixed levels."""
+    refuses a value its axes cannot show, an axis it lacks, mixed levels and
+    heat-map rows that are not a grid (:func:`_check_grid`)."""
 
     __slots__ = ()
 
@@ -110,7 +111,29 @@ class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_ax
                 raise ValueError(f"series {s.name!r} has a non-finite y")
             if y_spec.scale == "log10" and min(ys) <= 0:
                 raise ValueError(f"series {s.name!r} has y <= 0 on a log axis")
+        if heatmap:
+            _check_grid(series)
         return super().__new__(cls, title, x_axis, y_axis, series, overlays, y2_axis)
+
+
+def _check_grid(rows: Sequence[Series]) -> None:
+    """Refuse heat-map rows unless they are at least 2 rows of 2 cells over the
+    first row's x samples, levels strictly rising, each cell finite and > 0
+    (the colour scale is log10)."""
+    first = rows[0]
+    if len(rows) < 2 or len(first.xs) < 2:
+        raise ValueError(f"heat map row {first.name!r}: need at least 2 rows of "
+                         f"2 cells, got {len(rows)} of {len(first.xs)}")
+    for i, row in enumerate(rows):
+        if row.xs is not first.xs and row.xs != first.xs:
+            raise ValueError(f"heat map row {row.name!r} has other x samples "
+                             f"than row {first.name!r}")
+        if i and not row.level > rows[i - 1].level:
+            raise ValueError(f"heat map row {row.name!r}: level {row.level!r} "
+                             f"does not rise above {rows[i - 1].level!r}")
+        if not all(map(math.isfinite, row.ys)) or min(row.ys) <= 0:
+            raise ValueError(f"heat map row {row.name!r} has a cell that is "
+                             f"non-finite or <= 0")
 
 
 def _log_axis(label: str, unit: str, default_lo: float, default_hi: float,
@@ -246,8 +269,8 @@ def fig6_panel(preset_name: str) -> CurveSet:
     and HPCG panels carry the measured reference dot of the machine the
     neural-simulation studies ran on.
     """
-    p = preset(preset_name)
-    d = p.decomposition
+    d = preset(preset_name)
+    name = preset_name.upper()
     lo, hi = FIG6_RPEAK_RANGE
     r_peaks = tuple(logspace(lo, hi, SAMPLES_PER_CURVE))
     xs = tuple(r_peak / 1e18 for r_peak in r_peaks)
@@ -260,10 +283,10 @@ def fig6_panel(preset_name: str) -> CurveSet:
                    for r_peak, n, total in zip(r_peaks, ns, totals))
     rmax = Series(name="rmax", xs=xs, ys=rmaxes, axis="y2")
     overlays = ()
-    if p.name in FIG6_MEASURED:
-        overlays = (Series(f"{p.name} measured", *zip(FIG6_MEASURED[p.name]), axis="y2"),)
+    if name in FIG6_MEASURED:
+        overlays = (Series(f"{name} measured", *zip(FIG6_MEASURED[name]), axis="y2"),)
     return CurveSet(
-        title=f"Serial-fraction contributions and payload performance ({p.name})",
+        title=f"Serial-fraction contributions and payload performance ({name})",
         x_axis=AxisSpec("R_Peak", "Eflop/s", "log10", lo / 1e18, hi / 1e18),
         y_axis=_log_axis("serial fraction (1-alpha)", "", 1e-10, 5e-4,
                          [s.ys for s in fractions]),

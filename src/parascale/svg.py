@@ -218,9 +218,9 @@ def _outer_edges(centers: Sequence[float]) -> tuple[float, float]:
 
 
 def _render_heatmap(cs, out, x_px, y_px) -> None:
-    # Rows are series tagged with a `level` (the y coordinate) over one x
-    # column; their ys are the mapped quantity.  Color scale is log10 of it.
-    rows = sorted(cs.series, key=lambda s: s.level)
+    # Rows are series tagged with a `level` (the y coordinate), rising, over
+    # one x column; their ys are the mapped quantity.  Color scale is log10 of it.
+    rows = cs.series
     vmin = math.log10(min(min(s.ys) for s in rows))
     vmax = math.log10(max(max(s.ys) for s in rows))
     span = (vmax - vmin) or 1.0

@@ -105,7 +105,7 @@ def test_c4_payload_curve_breakdown(capsys):
     decline = 1.0 - min(tail) / peak_y
 
     # Closed form: payload N*p / (1 + (N-1)(a + b*N)) peaks at sqrt((1-a)/b).
-    d = preset("HPL").decomposition
+    d = preset("HPL")
     a, b = d.constant_part, d.slope
     perf = DEFAULT_MACHINE.perf_per_pu
 
@@ -165,8 +165,8 @@ def test_c4_fifty_percent_collapse_unreachable():
 
 def test_c5_neural_peak_shift(capsys):
     start = time.perf_counter()
-    hpcg_peak = peak_point(DEFAULT_MACHINE, preset("HPCG").decomposition)
-    nn_peak = peak_point(DEFAULT_MACHINE, preset("NN").decomposition)
+    hpcg_peak = peak_point(DEFAULT_MACHINE, preset("HPCG"))
+    nn_peak = peak_point(DEFAULT_MACHINE, preset("NN"))
     factor = hpcg_peak.r_peak_star / nn_peak.r_peak_star
     elapsed = time.perf_counter() - start
     ok = factor >= 50.0 and elapsed < 5.0
@@ -223,7 +223,7 @@ def test_c6_property_suite(capsys):
             < peak.r_max_star
 
     # heavier communication never yields more payload performance
-    presets = [preset(name).decomposition for name in ("HPL", "HPCG", "NN")]
+    presets = [preset(name) for name in ("HPL", "HPCG", "NN")]
     for _ in range(cases):
         r_peak = 10 ** rng.uniform(11, 19)
         r_hpl, r_hpcg, r_nn = (rmax_of_rpeak(r_peak, DEFAULT_MACHINE, d).r_max
@@ -263,7 +263,7 @@ def test_c8_peak_search_matches_analytic(capsys):
     start = time.perf_counter()
     worst = 0.0
     for name in ("HPL", "HPCG", "NN"):
-        d = preset(name).decomposition
+        d = preset(name)
         numeric = numeric_peak_n(DEFAULT_MACHINE, d)
         closed_form = peak_point(DEFAULT_MACHINE, d).n_star
         worst = max(worst, abs(numeric / closed_form - 1.0))

@@ -301,7 +301,7 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert lines[0] == "rpeak_flops,rmax_flops,efficiency"
         best = max(float(line.split(",")[1]) for line in lines[1:])
-        peak = peak_point(DEFAULT_MACHINE, preset("HPCG").decomposition)
+        peak = peak_point(DEFAULT_MACHINE, preset("HPCG"))
         assert best == pytest.approx(peak.r_max_star, rel=0.01)
 
     def test_bad_range(self, capsys):

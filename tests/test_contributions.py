@@ -5,6 +5,7 @@ forms (oracle comments give the expression).
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,9 +25,9 @@ def replace(record, **changes):
     return type(record)(**{**record._asdict(), **changes})
 
 
-HPL = preset("HPL").decomposition
-HPCG = preset("HPCG").decomposition
-NN = preset("NN").decomposition
+HPL = preset("HPL")
+HPCG = preset("HPCG")
+NN = preset("NN")
 
 
 class TestPresets:
@@ -53,13 +54,12 @@ class TestPresets:
         ("HPCG", (2e-6, 1e4, 2e13, 1.0, 1.0)),
         ("NN", (2e-6, 1e4, 2e13, 1.0, 5000.0))])
     def test_decomposition_field_for_field(self, name, fields):
-        p = preset(name)
-        assert p.name == name
-        assert tuple(p.decomposition) == fields
-        assert type(p.decomposition) is AlphaDecomposition
+        d = preset(name)
+        assert tuple(d) == fields
+        assert type(d) is AlphaDecomposition
 
     def test_lookup_case_insensitive(self):
-        assert preset("hpcg").name == "HPCG"
+        assert preset("hpcg") is preset("HPCG")
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
@@ -109,7 +109,7 @@ class TestAlphaTotal:
            n2=st.integers(min_value=1, max_value=10**9),
            which=st.sampled_from(["HPL", "HPCG", "NN"]))
     def test_affine_in_n(self, n1, n2, which):
-        d = preset(which).decomposition
+        d = preset(which)
         a1, a2 = alpha_total(n1, d), alpha_total(n2, d)
         # exact up to rounding of the evaluations themselves
         tol = 16 * math.ulp(max(a1, a2))
@@ -207,7 +207,7 @@ class TestPeakPoint:
 
     @pytest.mark.parametrize("which", ["HPL", "HPCG", "NN"])
     def test_numeric_matches_analytic(self, which):
-        d = preset(which).decomposition
+        d = preset(which)
         closed_form = peak_point(DEFAULT_MACHINE, d).n_star
         assert numeric_peak_n(DEFAULT_MACHINE, d) == pytest.approx(
             closed_form, rel=1e-4)
@@ -256,6 +256,69 @@ class TestPeakPoint:
 
         assert rmax(peak.n_star / 2) < peak.r_max_star
         assert rmax(peak.n_star * 2) < peak.r_max_star
+
+
+def decompositions(max_alpha_sw):
+    """Decompositions whose per-PU part stays below 0.1 up to N = 1e7, so
+    the serial fraction is below 1 wherever alpha_sw <= 0.875."""
+    return st.builds(
+        AlphaDecomposition, alpha_sw=st.floats(0.0, max_alpha_sw),
+        ctx_switch_clocks=st.floats(0.0, 1e6), total_clocks=st.floats(1e13, 1e16),
+        loop_clocks_per_pu=st.floats(1e-3, 10.0), bio_factor=st.floats(1.0, 1e4))
+
+
+def exact_alpha_total(n_proc, d):
+    """alpha_sw + (ctx + bio * loop * N) / total in exact arithmetic."""
+    return Fraction(d.alpha_sw) + (
+        Fraction(d.ctx_switch_clocks)
+        + Fraction(d.bio_factor) * Fraction(d.loop_clocks_per_pu) * Fraction(n_proc)
+    ) / Fraction(d.total_clocks)
+
+
+def ulps(got, exact):
+    """Distance of ``got`` from ``exact`` in ulps of the float nearest ``exact``."""
+    return abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
+
+
+class TestExactOracle:
+    """Each formula against exact arithmetic at its float arguments, within
+    one ulp per rounding it performs."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(d=decompositions(0.875), n_proc=st.floats(1.0, 1e7))
+    def test_alpha_total(self, d, n_proc):
+        # six roundings: ctx / total, bio * loop, * N, / total and two sums
+        assert ulps(alpha_total(n_proc, d), exact_alpha_total(n_proc, d)) <= 6
+
+    @settings(max_examples=300, derandomize=True)
+    @given(d=decompositions(0.875), perf_per_pu=st.floats(1e6, 1e12),
+           n_proc=st.floats(1.0, 1e7))
+    def test_rmax_of_rpeak(self, d, perf_per_pu, n_proc):
+        r_peak = n_proc * perf_per_pu
+        point = rmax_of_rpeak(r_peak, MachineModel(perf_per_pu), d)
+        # exact at the float PU count r_peak / perf_per_pu the model starts
+        # from: six roundings in alpha_total, four in the efficiency
+        # (N - 1, product, sum, reciprocal) and one in r_peak * efficiency
+        n = Fraction(r_peak / perf_per_pu)
+        eff = 1 / (1 + (n - 1) * exact_alpha_total(n, d))
+        assert ulps(point.efficiency, eff) <= 10
+        assert ulps(point.r_max, r_peak * eff) <= 11
+
+    @settings(max_examples=300, derandomize=True)
+    @given(d=decompositions(0.5))
+    def test_analytic_peak_n(self, d):
+        # N* = sqrt((1 - a) / b), a = alpha_sw + ctx / total, b = bio * loop /
+        # total: seven roundings (two in a, 1 - a, two in b, the quotient, sqrt).
+        # One ulp per rounding holds while a <= 1/2, so that an ulp of a is at
+        # most one of 1 - a; above, 1 - a magnifies a's rounding by a / (1 - a).
+        a = Fraction(d.alpha_sw) + Fraction(d.ctx_switch_clocks) / Fraction(d.total_clocks)
+        b = (Fraction(d.bio_factor) * Fraction(d.loop_clocks_per_pu)
+             / Fraction(d.total_clocks))
+        got = Fraction(analytic_peak_n(d))
+        tol = 7 * Fraction(math.ulp(float(got)))
+        # sqrt((1 - a) / b) is within tol of got iff (1 - a) / b lies between
+        # the squares of got - tol and got + tol
+        assert (got - tol) ** 2 <= (1 - a) / b <= (got + tol) ** 2
 
 
 class TestCrossModule:

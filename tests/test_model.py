@@ -75,6 +75,16 @@ class TestEfficiency:
         with pytest.raises(ValueError):
             efficiency(10, 1.5)
 
+    @settings(max_examples=500, derandomize=True)
+    @given(st.floats(1.0, 1e12), st.floats(0.0, 1e3))
+    def test_within_four_ulps_of_the_exact_efficiency(self, n_proc, nonparallel):
+        # exact 1 / (1 + (N - 1) * x) at the float N and x; the float form
+        # rounds at most four times (N - 1, the product, the sum and the
+        # reciprocal), one ulp each
+        exact = 1 / (1 + (Fraction(n_proc) - 1) * Fraction(nonparallel))
+        error = abs(Fraction(efficiency_from_nonparallel(n_proc, nonparallel)) - exact)
+        assert error <= 4 * Fraction(math.ulp(float(exact)))
+
 
 class TestAlphaFromMeasurement:
     def test_perfect_efficiency_two_pus(self):
@@ -202,10 +212,31 @@ class TestValidation:
             RelativisticParams(density=0.5)
 
     def test_performance_point(self):
-        p = PerformancePoint(r_peak=200e15, r_max=100e15)
-        assert p.efficiency == 0.5
+        p = PerformancePoint(r_peak=200e15, efficiency=0.5)
+        assert p == (200e15, 100e15, 0.5)
         with pytest.raises(ValueError):
-            PerformancePoint(r_peak=100e15, r_max=200e15)
+            PerformancePoint(r_peak=100e15, efficiency=2.0)
+
+    def test_payload_is_not_an_argument_of_the_point(self):
+        # r_max is r_peak * efficiency, so it cannot be given beside them
+        with pytest.raises(TypeError):
+            PerformancePoint(2e15, 1e15, 1.0)
+        with pytest.raises(TypeError):
+            PerformancePoint(r_peak=2e15, r_max=1e15)
+
+    @pytest.mark.parametrize("r_peak,eff", [
+        pytest.param(0.0, 0.5, id="zero-peak"),
+        pytest.param(-1e15, 0.5, id="negative-peak"),
+        pytest.param(5e-324, 0.25, id="payload-underflows"),
+    ])
+    def test_payload_must_be_positive(self, r_peak, eff):
+        with pytest.raises(ValueError, match=r"need 0 < r_peak < inf"):
+            PerformancePoint(r_peak, eff)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(r_peak=st.floats(1e-300, 1e300), eff=st.floats(1e-8, 1.0))
+    def test_payload_is_peak_times_efficiency(self, r_peak, eff):
+        assert PerformancePoint(r_peak, eff) == (r_peak, r_peak * eff, eff)
 
     @pytest.mark.parametrize("cls,kwargs", [
         (ParallelSystem, dict(n_proc=math.nan, perf_single=1e9, alpha=0.5)),
@@ -223,23 +254,21 @@ class TestValidation:
                      id="RelativisticParams-kwargs10"),
         pytest.param(RelativisticParams, dict(density=math.inf),
                      id="RelativisticParams-kwargs11"),
-        pytest.param(PerformancePoint, dict(r_peak=math.nan, r_max=1e15),
+        pytest.param(PerformancePoint, dict(r_peak=math.nan, efficiency=0.5),
                      id="PerformancePoint-kwargs12"),
-        pytest.param(PerformancePoint, dict(r_peak=math.inf, r_max=1e15),
+        pytest.param(PerformancePoint, dict(r_peak=math.inf, efficiency=0.5),
                      id="PerformancePoint-kwargs13"),
-        pytest.param(PerformancePoint, dict(r_peak=math.inf, r_max=math.inf),
+        pytest.param(PerformancePoint, dict(r_peak=math.inf, efficiency=1.0),
                      id="PerformancePoint-kwargs14"),
-        pytest.param(PerformancePoint, dict(r_peak=2e15, r_max=math.nan),
+        pytest.param(PerformancePoint, dict(r_peak=2e15, efficiency=math.nan),
                      id="PerformancePoint-kwargs15"),
-        pytest.param(PerformancePoint,
-                     dict(r_peak=2e15, r_max=1e15, efficiency=math.inf),
+        pytest.param(PerformancePoint, dict(r_peak=2e15, efficiency=math.inf),
                      id="PerformancePoint-kwargs16"),
         pytest.param(ParallelSystem.from_nonparallel,
                      dict(n_proc=10, perf_single=1e9, nonparallel=math.nan),
                      id="ParallelSystem-nonparallel-nan"),
     ])
     def test_non_finite_fields_rejected(self, cls, kwargs):
-        # a nan efficiency means "derive it", so only an infinity is tried there
         with pytest.raises(ValueError):
             cls(**kwargs)
 
@@ -250,7 +279,7 @@ class TestValidation:
     ])
     def test_efficiency_outside_unit_interval_rejected(self, efficiency):
         with pytest.raises(ValueError, match=r"efficiency must be in \(0, 1\]"):
-            PerformancePoint(r_peak=2e15, r_max=1e15, efficiency=efficiency)
+            PerformancePoint(r_peak=2e15, efficiency=efficiency)
 
     def test_nonparallel_is_not_an_argument_of_the_constructor(self):
         # only from_nonparallel stores a serial fraction other than 1 - alpha

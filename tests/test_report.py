@@ -382,6 +382,10 @@ class TestDecompositionPanels:
         assert tuple(zip(hpcg.xs, hpcg.ys)) == ((0.00587, 0.000095),)
         assert fig6_panel("NN").overlays == ()
 
+    def test_name_case_insensitive(self):
+        # the title and the measured dot follow the preset, not the spelling
+        assert fig6_panel("hpl") == fig6_panel("HPL")
+
     def test_total_is_sum_of_parts(self):
         cs = fig6_panel("HPCG")
         by_name = {s.name: tuple(zip(s.xs, s.ys)) for s in cs.series}
@@ -575,6 +579,49 @@ class TestCurveSetValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             CurveSet("t", log_ax, log_ax, **parts)
 
+    @pytest.mark.parametrize("rows,message", [
+        pytest.param([("a", (1.0, 2.0), (0.5, 0.5), 2.0)],
+                     "row 'a': need at least 2 rows of 2 cells, got 1 of 2",
+                     id="one-row"),
+        pytest.param([("a", (1.0,), (0.5,), 2.0), ("b", (1.0,), (0.5,), 3.0)],
+                     "row 'a': need at least 2 rows of 2 cells, got 2 of 1",
+                     id="one-column"),
+        pytest.param([("a", (1.0, 2.0), (0.5, 0.5), 2.0),
+                      ("b", (1.0, 2.0, 3.0), (0.5, 0.5, 0.5), 3.0)],
+                     "row 'b' has other x samples than row 'a'", id="ragged"),
+        pytest.param([("a", (1.0, 2.0), (0.5, 0.5), 2.0),
+                      ("b", (1.0, 3.0), (0.5, 0.5), 3.0)],
+                     "row 'b' has other x samples than row 'a'", id="other-xs"),
+        pytest.param([("a", (1.0, 2.0), (0.5, 0.5), 2.0),
+                      ("b", (1.0, 2.0), (0.5, 0.5), 2.0)],
+                     "row 'b': level 2.0 does not rise above 2.0",
+                     id="duplicate-level"),
+        pytest.param([("a", (1.0, 2.0), (0.5, 0.5), 3.0),
+                      ("b", (1.0, 2.0), (0.5, 0.5), 2.0)],
+                     "row 'b': level 2.0 does not rise above 3.0",
+                     id="falling-level"),
+        *(pytest.param([("a", (1.0, 2.0), (0.5, 0.5), 2.0),
+                        ("b", (1.0, 2.0), (0.5, cell), 3.0)],
+                       "row 'b' has a cell that is non-finite or <= 0",
+                       id=f"cell-{cell}")
+          for cell in (math.nan, math.inf, 0.0, -0.5)),
+    ])
+    def test_heatmap_rows_must_be_a_grid(self, rows, message):
+        # svg would draw each case wrong, or fail on it with a bare error
+        log_ax = AxisSpec("x", "", "log10", 1.0, 10.0)
+        series = tuple(Series(name, xs, ys, level=level)
+                       for name, xs, ys, level in rows)
+        with pytest.raises(ValueError, match=re.escape(f"heat map {message}")):
+            CurveSet("t", log_ax, log_ax, series=series)
+
+    def test_heatmap_rows_may_hold_equal_copies_of_the_x_samples(self):
+        log_ax = AxisSpec("x", "", "log10", 1.0, 10.0)
+        xs = (1.0, 2.0)
+        rows = (Series("a", xs, (0.5, 0.5), level=2.0),
+                Series("b", tuple(list(xs)), (0.5, 0.25), level=3.0))
+        assert rows[1].xs is not xs
+        assert CurveSet("t", log_ax, log_ax, series=rows).series == rows
+
 
 class TestBuildFigure:
     def test_unknown_id_lists_valid(self):
@@ -632,5 +679,5 @@ class TestBuildFigure:
         cs = build_figure("6C")
         rmax = next(s for s in cs.series if s.name == "rmax")
         sampled_max = max(rmax.ys)
-        peak = peak_point(DEFAULT_MACHINE, preset("NN").decomposition)
+        peak = peak_point(DEFAULT_MACHINE, preset("NN"))
         assert sampled_max == pytest.approx(peak.r_max_star / 1e18, rel=1e-3)
