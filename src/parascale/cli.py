@@ -198,8 +198,7 @@ def cmd_timeline(args) -> int:
     entry = ingest.timeline(records, args.machine)
     with _output(args.out) as sink:
         sink.write("date,rmax_flops,ratio_vs_previous\n")
-        for i, (date, rmax) in enumerate(entry.points):
-            ratio = "" if i == 0 else repr(entry.ratios[i - 1])
+        for (date, rmax), ratio in zip(entry.points, ("", *map(repr, entry.ratios))):
             sink.write(f"{date!r},{rmax!r},{ratio}\n")
     return 0
 
@@ -267,7 +266,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("predict", help="payload performance of a system")
-    p.add_argument("--preset", choices=preset_names(), help="benchmark preset")
+    p.add_argument("--preset", type=str.upper, choices=preset_names(),
+                   help="benchmark preset")
     p.add_argument("--rpeak", type=_flops, help="nominal performance in flop/s, "
                                                 "prefix suffix allowed (e.g. 0.00587E)")
     p.add_argument("--n", type=_finite_float,
@@ -291,7 +291,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("sweep", help="payload curve over a nominal range")
-    p.add_argument("--preset", required=True, choices=preset_names())
+    p.add_argument("--preset", type=str.upper, required=True, choices=preset_names())
     lo, hi = PAYLOAD_RPEAK_RANGE
     p.add_argument("--rpeak-min", type=_flops, default=lo,
                    help=f"sweep start in flop/s (default {format_flops(lo, 'E')})")

@@ -181,11 +181,14 @@ def analytic_peak_n(d: AlphaDecomposition) -> float:
     or the model is invalid from N = 1 on, and ValueError is raised.  So is
     a slope too small for N* to be a finite float.
     """
-    if not 0.0 < d.slope < 1.0 - d.constant_part:
+    # 1 - a without rounding a first: 1 - alpha_sw is exact for alpha_sw >=
+    # 1/2 (Sterbenz), where rounding a would be magnified by a / (1 - a)
+    parallel = 1.0 - d.alpha_sw - d.ctx_switch_clocks / d.total_clocks
+    if not 0.0 < d.slope < parallel:
         raise ValueError(
             f"no interior maximum: need 0 < slope < 1 - constant_part, got "
             f"slope {d.slope:.6g}, constant_part {d.constant_part:.6g}")
-    n_star = math.sqrt((1.0 - d.constant_part) / d.slope)
+    n_star = math.sqrt(parallel / d.slope)
     if not math.isfinite(n_star):
         raise ValueError(f"no finite interior maximum: slope {d.slope:.6g} "
                          f"puts N* beyond the float range")

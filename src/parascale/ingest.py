@@ -92,21 +92,15 @@ def _parse_header(row: list[str], line: int) -> tuple[list[str], dict[str, float
     fields: list[str] = []
     scales: dict[str, float] = {}
     for cell in row:
-        name = cell.strip().lower()
-        if name in ("machine", "date", "benchmark", "cores"):
-            key = name
-        else:
-            for key in ("rpeak", "rmax"):
-                if name.startswith(key + "_"):
-                    suffix = name[len(key) + 1:]
-                    prefix = (suffix[:-len("flops")].upper()
-                              if suffix.endswith("flops") else None)
-                    if prefix not in PREFIX_EXP:
-                        raise ParseError(line, cell, f"unknown unit suffix {suffix!r}")
-                    scales[key] = 10.0 ** PREFIX_EXP[prefix]
-                    break
-            else:
-                raise ParseError(line, cell, "unrecognized header column")
+        key, sep, suffix = cell.strip().lower().partition("_")
+        if key in ("rpeak", "rmax") and sep:
+            prefix = (suffix[:-len("flops")].upper()
+                      if suffix.endswith("flops") else None)
+            if prefix not in PREFIX_EXP:
+                raise ParseError(line, cell, f"unknown unit suffix {suffix!r}")
+            scales[key] = 10.0 ** PREFIX_EXP[prefix]
+        elif sep or key not in ("machine", "date", "benchmark", "cores"):
+            raise ParseError(line, cell, "unrecognized header column")
         if key in fields:
             raise ParseError(line, cell, "duplicate header column")
         fields.append(key)

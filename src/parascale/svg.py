@@ -66,19 +66,12 @@ def _ticks(spec) -> list[float]:
         hi = math.floor(math.log10(spec.max) + 1e-9)
         ticks = [10.0 ** k for k in range(lo, hi + 1)]
     else:
-        span = spec.max - spec.min
-        raw = span / 6.0
+        raw = (spec.max - spec.min) / 6.0
         mag = 10.0 ** math.floor(math.log10(raw))
-        for mult in (1.0, 2.0, 5.0, 10.0):
-            if raw <= mult * mag:
-                step = mult * mag
-                break
-        first = math.ceil(spec.min / step) * step
-        ticks = []
-        v = first
-        while v <= spec.max + step * 1e-9:
-            ticks.append(round(v / step) * step)
-            v += step
+        step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag)
+        # on an axis a few ulps wide neighbouring multiples round to one float
+        ticks = dict.fromkeys(k * step for k in range(
+            math.ceil(spec.min / step), math.floor(spec.max / step + 1e-9) + 1))
     return [v for v in ticks if spec.min <= v <= spec.max]
 
 

@@ -41,10 +41,8 @@ def format_flops(value: float, prefix: str | None = None) -> str:
     chosen; pass 'G', 'P' or 'E' to force one.
     """
     if prefix is None:
-        for p in reversed(PREFIX_EXP):
-            if abs(value) >= 10.0 ** PREFIX_EXP[p] or p == "":
-                prefix = p
-                break
+        prefix = next((p for p in reversed(PREFIX_EXP)
+                       if abs(value) >= 10.0 ** PREFIX_EXP[p]), "")
     if prefix not in PREFIX_EXP:
         raise ValueError(f"unknown unit prefix {prefix!r}")
     scaled = value / 10.0 ** PREFIX_EXP[prefix]

@@ -288,6 +288,18 @@ class TestPredict:
         assert err == ("usage error: --rpeak must be at least one PU "
                        "(1e+11 flop/s), got 5e+10\n")
 
+    @pytest.mark.parametrize("command,argv", [("predict", ("--rpeak", "1E")),
+                                              ("sweep", ("--points", "3"))])
+    def test_preset_name_in_any_case(self, capsys, command, argv):
+        # as preset("hpl") and `figure 6a` accept it
+        upper = run(capsys, command, "--preset", "HPL", *argv)
+        assert upper[0] == 0
+        assert run(capsys, command, "--preset", "hpl", *argv) == upper
+        rc, out, err = run(capsys, command, "--preset", "xyz", *argv)
+        assert (rc, out) == (1, "")
+        assert err == ("usage error: --preset: invalid choice: 'XYZ' "
+                       "(choose from 'HPL', 'HPCG', 'NN')\n")
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "predict", "--preset", "HPCG", "--rpeak", "0.01E")
         _, second, _ = run(capsys, "predict", "--preset", "HPCG", "--rpeak", "0.01E")

@@ -305,15 +305,17 @@ class TestExactOracle:
         assert ulps(point.r_max, r_peak * eff) <= 11
 
     @settings(max_examples=300, derandomize=True)
-    @given(d=decompositions(0.5))
+    @given(d=decompositions(0.9999999))
     def test_analytic_peak_n(self, d):
         # N* = sqrt((1 - a) / b), a = alpha_sw + ctx / total, b = bio * loop /
-        # total: seven roundings (two in a, 1 - a, two in b, the quotient, sqrt).
-        # One ulp per rounding holds while a <= 1/2, so that an ulp of a is at
-        # most one of 1 - a; above, 1 - a magnifies a's rounding by a / (1 - a).
+        # total: seven roundings (ctx / total, two subtractions from 1, two in
+        # b, the quotient, sqrt).  1 - alpha_sw is exact from alpha_sw = 1/2
+        # on, so only the rounding of ctx / total is magnified, by ctx / total
+        # over 1 - a: small unless 1 - alpha_sw nears ctx / total <= 1e-7.
         a = Fraction(d.alpha_sw) + Fraction(d.ctx_switch_clocks) / Fraction(d.total_clocks)
         b = (Fraction(d.bio_factor) * Fraction(d.loop_clocks_per_pu)
              / Fraction(d.total_clocks))
+        assume(b < 1 - a)
         got = Fraction(analytic_peak_n(d))
         tol = 7 * Fraction(math.ulp(float(got)))
         # sqrt((1 - a) / b) is within tol of got iff (1 - a) / b lies between

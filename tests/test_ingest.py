@@ -196,6 +196,12 @@ class TestParseFuzz:
     @example(text=HEADER + "Bad,2000.0,HPL,1e12,2e12,\nA,2000.0,HPL,2e12,1e12,\n")
     @example(text="cores,rmax_pflops,date,benchmark,machine,rpeak_eflops\n"
                   "8,1,2019.5,HPCG,Z,0.002\n7,3,2019.5,HPL,Z,0.002\n")
+    # header cells split at their first "_", against the reference's prefixes
+    @example(text=HEADER.replace("rpeak_flops", "rpeak_") + "A,2000.0,HPL,2,1,\n")
+    @example(text=HEADER.replace("rmax_flops", "rmax") + "A,2000.0,HPL,2,1,\n")
+    @example(text=HEADER.replace("rpeak_flops", "rpeak__flops") + "A,2000.0,HPL,2,1,\n")
+    @example(text=HEADER.replace("date", "date_flops") + "A,2000.0,HPL,2,1,\n")
+    @example(text=HEADER.replace("rpeak_flops", "RPEAK_EFLOPS") + "A,2000.0,HPL,2,1e17,\n")
     def test_same_outcome_as_reference(self, text):
         got = _outcome(parse_records, text)
         if got[0] == "error" and got[3].endswith("duplicate header column"):

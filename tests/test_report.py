@@ -1,13 +1,17 @@
 """Figure dataset construction, CSV/SVG emission and determinism."""
 
+import ast
 import base64
 import csv
 import hashlib
 import io
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 import zlib
 from pathlib import Path
@@ -29,6 +33,7 @@ from parascale.report import (AxisSpec, CurveSet, Series, build_figure,
 FIGURE_CSV_SHA256 = (Path(__file__).resolve().parent.parent / "bench"
                      / "figure_csv_sha256.json")
 FIGURE_SVG_SHA256 = Path(__file__).resolve().parent / "figure_svg_sha256.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 SVG_NS = "{http://www.w3.org/2000/svg}"
 XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
 
@@ -160,11 +165,42 @@ class TestTicks:
         assert svg._ticks(ax) == [10.0, 100.0]
 
     def test_linear_axis(self):
-        ax = AxisSpec("year", "", "linear", 2010.0, 2020.0)
-        assert svg._ticks(ax) == [2010.0 + 2.0 * k for k in range(6)]
-        # the step tolerance reaches 1.0, just past the axis end
-        ax = AxisSpec("x", "", "linear", 0.0, 1.0 - 1e-12)
-        assert svg._ticks(ax) == [0.2 * k for k in range(5)]
+        for lo, hi, ticks in [
+                (2010.0, 2020.0, [2010.0 + 2.0 * k for k in range(6)]),
+                # the step tolerance reaches 1.0, just past the axis end
+                (0.0, 1.0 - 1e-12, [0.2 * k for k in range(5)]),
+                (0.0, 6.0, [1.0 * k for k in range(7)]),
+                (0.0, 30.0, [5.0 * k for k in range(7)]),
+                (0.0, 57.0, [10.0 * k for k in range(6)]),
+                (1990.0, 2100.0, [2000.0 + 20.0 * k for k in range(6)]),
+                (-3.0, 3.0, [-3.0 + k for k in range(7)])]:
+            assert svg._ticks(AxisSpec("x", "", "linear", lo, hi)) == ticks, (lo, hi)
+
+    def test_linear_axis_a_few_ulps_wide(self):
+        # neighbouring multiples of the step round to one float on such an
+        # axis, so a loop adding the step to a float tick never ends; a child
+        # interpreter, short of time and memory, runs the ticks
+        code = (
+            "import math, resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+            "from parascale import svg\n"
+            "from parascale.report import AxisSpec\n"
+            "for lo in (1.0, -3.0, 2010.0):\n"
+            "    hi = lo\n"
+            "    for _ in range(7):\n"
+            "        hi = math.nextafter(hi, math.inf)\n"
+            "        ticks = svg._ticks(AxisSpec('x', '', 'linear', lo, hi))\n"
+            "        print(repr((lo, hi, ticks)))\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr[-500:]
+        axes = [ast.literal_eval(line) for line in done.stdout.splitlines()]
+        assert axes[0] == (1.0, 1.0000000000000002, [1.0, 1.0000000000000002])
+        assert len(axes) == 21
+        for lo, hi, ticks in axes:
+            assert ticks and all(lo <= v <= hi for v in ticks)
+            assert all(a < b for a, b in zip(ticks, ticks[1:]))
 
 
 class TestHeatmapImage:
