@@ -8,7 +8,9 @@ with the standard library and drawn with nearest-neighbour scaling.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 
 WIDTH = 960
@@ -32,6 +34,8 @@ PALETTE = [
     "#bcbd22",
     "#e377c2",
 ]
+# The heat map's gradient: dark blue -> teal -> yellow over t in [0, 1].
+_STOPS = ((13, 8, 92), (0, 140, 140), (255, 230, 51))
 
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
 
@@ -173,18 +177,39 @@ def _render_lines(cs, out, x_px, y_px, y2_px) -> None:
 
 
 def _rgb(ts: Iterable[float]) -> bytes:
-    """Packed RGB of the three-stop gradient dark blue (13, 8, 92) -> teal
-    (0, 140, 140) -> yellow (255, 230, 51) at each t, clamped to [0, 1]."""
+    """Packed RGB of the gradient through ``_STOPS`` at each t, clamped to [0, 1]."""
     channels: list[float] = []
     for t in ts:
         t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-        if t <= 0.5:
-            u = t * 2.0
-            channels += (13 - 13 * u, 8 + 132 * u, 92 + 48 * u)
-        else:
-            u = (t - 0.5) * 2.0
-            channels += (255 * u, 140 + 90 * u, 140 - 89 * u)
+        lo, hi, u = (*_STOPS[:2], t * 2.0) if t <= 0.5 else (*_STOPS[1:], (t - 0.5) * 2.0)
+        channels += [a + (b - a) * u for a, b in zip(lo, hi)]
     return bytes(map(round, channels))
+
+
+@functools.cache
+def _colour_steps() -> tuple[tuple[float, ...], tuple[bytes, ...]]:
+    """The rising t at which ``_rgb``'s colour changes, with the colour below the
+    first and from each on: ``colours[bisect_right(steps, t)]`` is ``_rgb([t])``."""
+    steps = []
+    for half, (lo, hi) in enumerate(zip(_STOPS, _STOPS[1:])):
+        for a, b in zip(lo, hi):
+            # a + (b - a)*u rounds past k once it crosses k + 1/2: bisect the
+            # floats around that point with _rgb's own expression for the channel
+            for k in range(min(a, b), max(a, b)):
+                t = ((k + 0.5 - a) / (b - a) + half) / 2.0
+                below, above = t - 2.0 ** -48, t + 2.0 ** -48
+                while below < (t := (below + above) / 2.0) < above:
+                    past = (round(a + (b - a) * ((t - 0.5 * half) * 2.0)) > k) == (b > a)
+                    below, above = (below, t) if past else (t, above)
+                steps.append(above)
+    steps.sort()
+    n = len(steps)
+    packed = _rgb([0.0, *steps, *(math.nextafter(t, 0.0) for t in steps)])
+    colours = [packed[i:i + 3] for i in range(0, len(packed), 3)]
+    # all sum |b - a| steps are found if each changes the colour and none coincide
+    if len(set(steps)) < n or any(map(bytes.__eq__, colours[1:n + 1], colours[n + 1:])):
+        raise RuntimeError("the gradient's colour steps disagree with _rgb")
+    return tuple(steps), tuple(colours[:n + 1])
 
 
 def _png_href(rows: list[bytes], width: int) -> str:
@@ -220,7 +245,9 @@ def _render_heatmap(cs, out, x_px, y_px) -> None:
 
     # One pixel per cell, stretched over the outer cell edges and clipped to
     # the plot; the grid is log-uniform, so the cells keep their geometry.
-    pixels = [_rgb([(math.log10(v) - vmin) / span for v in s.ys]) for s in reversed(rows)]
+    steps, colours = _colour_steps()
+    pixels = [b"".join([colours[bisect_right(steps, (math.log10(v) - vmin) / span)]
+                        for v in s.ys]) for s in reversed(rows)]
     x_lo, x_hi = _outer_edges(rows[0].xs)
     y_lo, y_hi = _outer_edges([s.level for s in rows])
     x0, x1, y0, y1 = x_px(x_lo), x_px(x_hi), y_px(y_hi), y_px(y_lo)

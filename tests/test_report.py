@@ -14,6 +14,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 import zlib
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -126,12 +127,14 @@ def decode_png(data):
     return width, height, depth, color, rows
 
 
+RAMP_STOPS = ((13, 8, 92), (0, 140, 140), (255, 230, 51))
+
+
 def ramp(t):
     """The heat map's colour ramp: dark blue -> teal -> yellow over [0, 1]."""
-    stops = ((13, 8, 92), (0, 140, 140), (255, 230, 51))
     t = min(max(t, 0.0), 1.0)
-    lo, hi, u = ((stops[0], stops[1], t * 2.0) if t <= 0.5
-                 else (stops[1], stops[2], (t - 0.5) * 2.0))
+    lo, hi, u = ((RAMP_STOPS[0], RAMP_STOPS[1], t * 2.0) if t <= 0.5
+                 else (RAMP_STOPS[1], RAMP_STOPS[2], (t - 0.5) * 2.0))
     return tuple(round(a + (b - a) * u) for a, b in zip(lo, hi))
 
 
@@ -140,14 +143,48 @@ RAMP_SWEEP = ([k / 1000 for k in range(-200, 1201)] + [k / 510 for k in range(51
               + [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1e-300, 0.5 + 1e-16, math.inf])
 
 
+def looked_up(ts):
+    """Packed RGB at each t from the heat map's table of colour steps."""
+    steps, colours = svg._colour_steps()
+    return b"".join(colours[bisect_right(steps, t)] for t in ts)
+
+
 class TestColourRamp:
     def test_packed_ramp_on_a_dense_sweep(self):
-        assert svg._rgb(RAMP_SWEEP) == b"".join(bytes(ramp(t)) for t in RAMP_SWEEP)
+        packed = svg._rgb(RAMP_SWEEP)
+        assert packed == b"".join(bytes(ramp(t)) for t in RAMP_SWEEP)
+        assert looked_up(RAMP_SWEEP) == packed
 
     @settings(max_examples=500, derandomize=True)
     @given(st.lists(st.floats(allow_nan=False), max_size=20))
     def test_packed_ramp_matches_the_ramp(self, ts):
-        assert svg._rgb(ts) == b"".join(bytes(ramp(t)) for t in ts)
+        packed = svg._rgb(ts)
+        assert packed == b"".join(bytes(ramp(t)) for t in ts)
+        assert looked_up(ts) == packed
+
+    def test_one_step_per_rounded_channel_value_inside_the_unit_interval(self):
+        steps, colours = svg._colour_steps()
+        changes = sum(abs(b - a) for lo, hi in zip(RAMP_STOPS, RAMP_STOPS[1:])
+                      for a, b in zip(lo, hi))
+        assert len(steps) == changes == 627
+        assert len(colours) == len(steps) + 1
+        assert 0.0 < steps[0] and steps[-1] < 1.0
+        assert all(a < b for a, b in zip(steps, steps[1:]))
+        assert svg._colour_steps() is svg._colour_steps()
+
+    def test_table_is_the_ramp_on_both_sides_of_every_step(self):
+        steps, _ = svg._colour_steps()
+        ts = [u for t in steps
+              for u in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
+        assert looked_up(ts) == svg._rgb(ts)
+
+    def test_only_a_heat_map_builds_the_table(self):
+        svg._colour_steps.cache_clear()
+        for fig_id in ("3", "4", "5", "6A", "6B", "6C"):
+            svg.render_svg(build_figure(fig_id))
+        assert svg._colour_steps.cache_info().currsize == 0
+        svg.render_svg(build_figure("1"))
+        assert svg._colour_steps.cache_info().currsize == 1
 
     def test_colormap_is_the_ramp_in_hex(self):
         # figure 1's colour bar: 24 fills from the bottom up, at t = i / 24
