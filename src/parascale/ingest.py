@@ -66,7 +66,7 @@ class MachineRecord(namedtuple("MachineRecord", "machine date benchmark "
         if r_peak is not None and r_max is not None and r_max > r_peak:
             raise PayloadExceedsPeak(
                 f"r_max {r_max:.6g} exceeds r_peak {r_peak:.6g}")
-        return super().__new__(cls, machine, date, benchmark, r_peak, r_max, cores)
+        return tuple.__new__(cls, (machine, date, benchmark, r_peak, r_max, cores))
 
 
 class DerivedRecord(namedtuple("DerivedRecord", "record efficiency nonparallel")):
@@ -140,12 +140,11 @@ def parse_records(source: io.TextIOBase | str
         machine = machine.strip()
         try:
             # rpeak, rmax, date, cores: the order in which errors are raised
-            r_peak = _parse_perf(rpeak.strip(), rpeak_scale, line, "rpeak")
-            r_max = _parse_perf(rmax.strip(), rmax_scale, line, "rmax")
-            record = MachineRecord(machine,
-                                   _parse_float(date.strip(), line, "date"),
+            r_peak = _parse_perf(rpeak, rpeak_scale, line, "rpeak")
+            r_max = _parse_perf(rmax, rmax_scale, line, "rmax")
+            record = MachineRecord(machine, _parse_float(date, line, "date"),
                                    benchmark.strip(), r_peak, r_max,
-                                   _parse_cores(cores.strip(), line))
+                                   _parse_cores(cores, line))
         except PayloadExceedsPeak as exc:
             warnings.append(f"line {line}: rejected {machine!r}: {exc}")
             continue
@@ -162,8 +161,9 @@ def _non_comment_rows(source: io.TextIOBase) -> Iterable[tuple[int, list[str]]]:
     reader = csv.reader(source)
     try:
         for raw in reader:
-            # the join is empty or blank exactly when every cell is
-            if not "".join(raw).strip() or raw[0].lstrip()[:1] == "#":
+            head = raw[0].lstrip() if raw else ""
+            # the cells are joined only for a row whose first cell is blank
+            if head[:1] == "#" or not (head or "".join(raw).strip()):
                 continue
             yield reader.line_num, raw
     except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
@@ -171,6 +171,7 @@ def _non_comment_rows(source: io.TextIOBase) -> Iterable[tuple[int, list[str]]]:
 
 
 def _parse_float(text: str, line: int, column: str) -> float:
+    text = text.strip()
     try:
         value = float(text)
     except ValueError:
@@ -181,22 +182,32 @@ def _parse_float(text: str, line: int, column: str) -> float:
 
 
 def _parse_perf(text: str, scale: float, line: int, column: str) -> float | None:
+    text = text.strip()
     if text == "":
         return None
-    value = _parse_float(text, line, column) * scale
-    if not 0 < value < math.inf:  # the scale can overflow a finite cell
-        raise ParseError(line, column,
-                         f"performance must be > 0 and finite, got {text!r}")
-    return value
+    try:
+        value = float(text) * scale
+        if 0 < value < math.inf:  # the scale can overflow a finite cell
+            return value
+    except ValueError:
+        pass
+    _parse_float(text, line, column)  # a cell that is no finite number says so
+    raise ParseError(line, column,
+                     f"performance must be > 0 and finite, got {text!r}")
 
 
 def _parse_cores(text: str, line: int) -> int | None:
+    text = text.strip()
     if text == "":
         return None
-    value = _parse_float(text, line, "cores")
-    if not value.is_integer():
-        raise ParseError(line, "cores", f"not a whole count: {text!r}")
-    return int(value)
+    try:
+        value = float(text)
+        if value.is_integer():  # False for nan and +-inf
+            return int(value)
+    except ValueError:
+        pass
+    _parse_float(text, line, "cores")  # a cell that is no finite number says so
+    raise ParseError(line, "cores", f"not a whole count: {text!r}")
 
 
 def serialize_records(records: Iterable[MachineRecord],
@@ -205,14 +216,9 @@ def serialize_records(records: Iterable[MachineRecord],
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["machine", "date", "benchmark",
                      "rpeak_flops", "rmax_flops", "cores"])
-    writer.writerows((
-        r.machine,
-        repr(r.date),
-        r.benchmark,
-        "" if r.r_peak is None else repr(r.r_peak),
-        "" if r.r_max is None else repr(r.r_max),
-        "" if r.cores is None else str(r.cores),
-    ) for r in records)
+    # a record's fields are in the header's order, and csv writes None as "",
+    # a float as its repr and an int as its str
+    writer.writerows(records)
 
 
 def derive(records: Iterable[MachineRecord]) -> list[DerivedRecord]:
@@ -237,7 +243,7 @@ def derive(records: Iterable[MachineRecord]) -> list[DerivedRecord]:
             except ValueError as exc:
                 raise ValueError(f"{r.machine} ({r.benchmark}, {r.date!r}): "
                                  f"{exc}") from None
-        out.append(DerivedRecord(record=r, efficiency=eff, nonparallel=nonparallel))
+        out.append(DerivedRecord(r, eff, nonparallel))
     return out
 
 
@@ -286,13 +292,16 @@ def load_meta(source: io.TextIOBase | str) -> dict[str, dict[str, float]]:
     for line, row in rows:
         if len(row) != 3:
             raise ParseError(line, "*", f"expected 3 cells, got {len(row)}")
-        cores = _parse_cores(row[1].strip(), line)
-        r_peak = _parse_perf(row[2].strip(), 1.0, line, "rpeak_flops")
+        machine = row[0].strip()
+        if machine in meta:  # as with a header column, a name counts once
+            raise ParseError(line, "machine", f"duplicate machine {machine!r}")
+        cores = _parse_cores(row[1], line)
+        r_peak = _parse_perf(row[2], 1.0, line, "rpeak_flops")
         if cores is None or r_peak is None:
             raise ParseError(line, "*", "metadata cells must not be empty")
         if cores < 1:
             raise ParseError(line, "cores", f"cores must be >= 1, got {cores}")
-        meta[row[0].strip()] = {"cores": cores, "rpeak_flops": r_peak}
+        meta[machine] = {"cores": cores, "rpeak_flops": r_peak}
     return meta
 
 
@@ -313,9 +322,9 @@ def join_meta(records: Iterable[MachineRecord],
             continue
         try:
             out.append(MachineRecord(
-                r.machine, r.date, r.benchmark, r_max=r.r_max,
-                r_peak=r.r_peak if r.r_peak is not None else m["rpeak_flops"],
-                cores=r.cores if r.cores is not None else m["cores"]))
+                r.machine, r.date, r.benchmark,
+                r.r_peak if r.r_peak is not None else m["rpeak_flops"], r.r_max,
+                r.cores if r.cores is not None else m["cores"]))
         except PayloadExceedsPeak as exc:
             raise PayloadExceedsPeak(
                 f"{r.machine}: {exc} (r_peak from machines_meta.csv)") from None

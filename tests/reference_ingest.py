@@ -6,6 +6,10 @@ require the package's parser to return the same records and warnings, or
 raise the same ``ParseError``, on every input whose header names no column
 twice (the one input the package now rejects where this copy let the last
 column win).
+
+``serialize_records`` keeps the writer's per-field expression from before
+records were handed to ``csv`` whole, so a test can require the package's
+writer to give the same bytes.
 """
 
 from __future__ import annotations
@@ -132,3 +136,19 @@ def _parse_cores(text: str, line: int) -> int | None:
     if not value.is_integer():
         raise ParseError(line, "cores", f"not a whole count: {text!r}")
     return int(value)
+
+
+def serialize_records(records: Iterable[MachineRecord],
+                      sink: io.TextIOBase) -> None:
+    """Write records in the canonical flop/s schema; inverse of parse."""
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["machine", "date", "benchmark",
+                     "rpeak_flops", "rmax_flops", "cores"])
+    writer.writerows((
+        r.machine,
+        repr(r.date),
+        r.benchmark,
+        "" if r.r_peak is None else repr(r.r_peak),
+        "" if r.r_max is None else repr(r.r_max),
+        "" if r.cores is None else str(r.cores),
+    ) for r in records)
