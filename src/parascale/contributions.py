@@ -171,6 +171,12 @@ def peak_point(m: MachineModel, d: AlphaDecomposition) -> PeakPoint:
                      r_max_star=rmax_of_rpeak(r_peak_star, m, d).r_max)
 
 
+def _split(x: float) -> tuple[float, float]:
+    """Veltkamp's split of x into hi + lo, each of 26 bits; nan past 1.3e300."""
+    c = 134217729.0 * x  # 2**27 + 1
+    return c - (c - x), x - (c - (c - x))
+
+
 def analytic_peak_n(d: AlphaDecomposition) -> float:
     """Closed-form maximizer N* = sqrt((1-a)/b) of the payload curve.
 
@@ -181,9 +187,16 @@ def analytic_peak_n(d: AlphaDecomposition) -> float:
     or the model is invalid from N = 1 on, and ValueError is raised.  So is
     a slope too small for N* to be a finite float.
     """
-    # 1 - a without rounding a first: 1 - alpha_sw is exact for alpha_sw >=
-    # 1/2 (Sterbenz), where rounding a would be magnified by a / (1 - a)
-    parallel = 1.0 - d.alpha_sw - d.ctx_switch_clocks / d.total_clocks
+    # 1 - a without rounding a: q = ctx / total with its exact remainder r
+    # (Dekker's product q * total) and 1 - alpha_sw = s + e (Knuth's TwoSum),
+    # so that no rounding is magnified where q nears 1 - alpha_sw
+    ctx, total, alpha_sw = d.ctx_switch_clocks, d.total_clocks, d.alpha_sw
+    q, s = ctx / total, 1.0 - alpha_sw
+    (qh, ql), (th, tl), p, z = _split(q), _split(total), q * total, s - 1.0
+    r = (ctx - p) - (((qh * th - p) + qh * tl + ql * th) + ql * tl)
+    parallel = (s - q) + ((1.0 - (s - z)) - (alpha_sw + z) - r / total)
+    if math.isnan(parallel):  # a total_clocks too large to split
+        parallel = s - q
     if not 0.0 < d.slope < parallel:
         raise ValueError(
             f"no interior maximum: need 0 < slope < 1 - constant_part, got "

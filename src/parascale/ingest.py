@@ -132,24 +132,36 @@ def parse_records(source: io.TextIOBase | str
     # read by index, in the order of _HEADER_FIELDS
     width = len(fields)
     pick = itemgetter(*map(fields.index, _HEADER_FIELDS))
-    rpeak_scale, rmax_scale = scales["rpeak"], scales["rmax"]
+    rpeak_scale, rmax_scale, inf = scales["rpeak"], scales["rmax"], math.inf
     for line, row in rows:
         if len(row) != width:
             raise ParseError(line, "*", f"expected {width} cells, got {len(row)}")
         machine, date, benchmark, rpeak, rmax, cores = pick(row)
         machine = machine.strip()
+        # a valid row's cells, read inline as the helpers read them: a cell
+        # that float() takes has the value float() gives it once stripped
         try:
-            # rpeak, rmax, date, cores: the order in which errors are raised
+            r_peak = float(rpeak) * rpeak_scale if rpeak.strip() else None
+            r_max = float(rmax) * rmax_scale if rmax.strip() else None
+            when = float(date)
+            n = float(cores) if cores.strip() else None
+            valid = ((r_peak is None or 0 < r_peak < inf)
+                     and (r_max is None or 0 < r_max < inf)
+                     and -inf < when < inf and (n is None or n.is_integer()))
+        except ValueError:
+            valid = False
+        if valid:
+            n = None if n is None else int(n)
+        else:  # rpeak, rmax, date, cores: the order in which errors are raised
             r_peak = _parse_perf(rpeak, rpeak_scale, line, "rpeak")
             r_max = _parse_perf(rmax, rmax_scale, line, "rmax")
-            record = MachineRecord(machine, _parse_float(date, line, "date"),
-                                   benchmark.strip(), r_peak, r_max,
-                                   _parse_cores(cores, line))
+            when = _parse_float(date, line, "date")
+            n = _parse_cores(cores, line)
+        try:
+            record = MachineRecord(machine, when, benchmark.strip(), r_peak, r_max, n)
         except PayloadExceedsPeak as exc:
             warnings.append(f"line {line}: rejected {machine!r}: {exc}")
             continue
-        except ParseError:
-            raise
         except ValueError as exc:
             raise ParseError(line, "*", str(exc)) from None
         records.append(record)
@@ -243,7 +255,7 @@ def derive(records: Iterable[MachineRecord]) -> list[DerivedRecord]:
             except ValueError as exc:
                 raise ValueError(f"{r.machine} ({r.benchmark}, {r.date!r}): "
                                  f"{exc}") from None
-        out.append(DerivedRecord(r, eff, nonparallel))
+        out.append(tuple.__new__(DerivedRecord, (r, eff, nonparallel)))
     return out
 
 

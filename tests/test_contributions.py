@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from peak_search import numeric_peak_n
 
@@ -306,12 +306,20 @@ class TestExactOracle:
 
     @settings(max_examples=300, derandomize=True)
     @given(d=decompositions(0.9999999))
+    # ctx / total within 1 % of 1 - alpha_sw, which the draws do not reach,
+    # for alpha_sw = 0, below 1/2 and above it: there, rounding ctx / total
+    # or 1 - alpha_sw before the subtraction would be magnified past the bound
+    @example(d=AlphaDecomposition(0.0, 4.77594e14, 4.78e14))
+    @example(d=AlphaDecomposition(0.0159, 5.30709e14, 5.43e14))
+    @example(d=AlphaDecomposition(0.719, 2.53189e13, 9.06e13))
+    # a total_clocks too large for the exact remainder keeps the plain 1 - a
+    @example(d=AlphaDecomposition(2e-8, 1e4, 1e305))
     def test_analytic_peak_n(self, d):
         # N* = sqrt((1 - a) / b), a = alpha_sw + ctx / total, b = bio * loop /
-        # total: seven roundings (ctx / total, two subtractions from 1, two in
-        # b, the quotient, sqrt).  1 - alpha_sw is exact from alpha_sw = 1/2
-        # on, so only the rounding of ctx / total is magnified, by ctx / total
-        # over 1 - a: small unless 1 - alpha_sw nears ctx / total <= 1e-7.
+        # total: seven roundings (three in 1 - a, two in b, the quotient,
+        # sqrt).  1 - a is formed from the exact remainder of ctx / total and
+        # the exact error of 1 - alpha_sw, so no rounding is magnified where
+        # ctx / total nears 1 - alpha_sw.
         a = Fraction(d.alpha_sw) + Fraction(d.ctx_switch_clocks) / Fraction(d.total_clocks)
         b = (Fraction(d.bio_factor) * Fraction(d.loop_clocks_per_pu)
              / Fraction(d.total_clocks))

@@ -133,6 +133,13 @@ class TestParse:
         (r,), _ = parse(HEADER + "A,2000.0,HPL,2e12,1e12,2.414592e6\n")
         assert r.cores == 2_414_592
 
+    def test_error_of_a_refused_row_chains_no_exception(self):
+        # the cores cell fails float(); the rpeak error raised for the row
+        # carries no context from that failure
+        with pytest.raises(ParseError, match="must be > 0") as exc:
+            parse(HEADER + "A,2000.0,HPL,-1,1e12,x\n")
+        assert exc.value.__context__ is None
+
     def test_exceedance_has_its_own_exception(self):
         with pytest.raises(ingest.PayloadExceedsPeak):
             MachineRecord("Bad", 2000.0, "HPL", r_peak=1e12, r_max=2e12)
@@ -248,6 +255,22 @@ class TestParseFuzz:
     @example(text=HEADER + ",2000.0,HPL,2e12,1e12,\n")
     @example(text=HEADER + " ,\t, , ,,\n")
     @example(text=HEADER + "  #x,2000.0,HPL,2e12,1e12,\n")
+    # a valid row is read inline, and a row the inline read refuses goes to
+    # the helpers: a non-finite date, numbers in a row MachineRecord refuses,
+    # padding float() strips itself (\u2003, \xa0) and padding only the
+    # helpers' strip() removes (\x1c), underscores, a blank cores cell
+    @example(text=HEADER + "A,nan,HPL,2e12,1e12,\n")
+    @example(text=HEADER + "A,inf,HPL,2e12,1e12,\n")
+    @example(text=HEADER + "A,-inf,HPL,2e12,1e12,\n")
+    @example(text=HEADER + "A,1e400,HPL,2e12,1e12,\n")
+    @example(text=HEADER + "A,2000.0,STREAM,2e12,1e12,8\n")
+    @example(text=HEADER + "A,1400.0,HPL,2e12,1e12,8\n")
+    @example(text=HEADER + "A,\u20032000.0,HPL,2e12\u2003,\u20031e12\u2003,\u20038\n")
+    @example(text=HEADER + "A,2000.0\xa0,HPL,\xa02e12,1e12\xa0,8\xa0\n")
+    @example(text=HEADER + "A,\x1c2000.0,HPL,2e12\x1c,\x1c1e12\x1c,\x1c8\n")
+    @example(text=HEADER + "A,2000.0,HPL,2e12,1e12,8\x1c\n")
+    @example(text=HEADER + "A,2000.0,HPL,1_000,1e2,1_000\n")
+    @example(text=HEADER + "A,2000.0,HPL,2e12,1e12, \n")
     def test_same_outcome_as_reference(self, text):
         got = _outcome(parse_records, text)
         if got[0] == "error" and got[3].endswith("duplicate header column"):
