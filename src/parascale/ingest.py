@@ -33,6 +33,8 @@ from .units import PREFIX_EXP
 BENCHMARKS = ("HPL", "HPCG")
 
 _HEADER_FIELDS = ("machine", "date", "benchmark", "rpeak", "rmax", "cores")
+#: the characters that make serialize_records quote a machine name
+_QUOTED = ',"\n\r'
 
 
 class ParseError(ValueError):
@@ -137,34 +139,38 @@ def parse_records(source: io.TextIOBase | str
         if len(row) != width:
             raise ParseError(line, "*", f"expected {width} cells, got {len(row)}")
         machine, date, benchmark, rpeak, rmax, cores = pick(row)
-        machine = machine.strip()
-        # a valid row's cells, read inline as the helpers read them: a cell
-        # that float() takes has the value float() gives it once stripped
+        machine, benchmark = machine.strip(), benchmark.strip()
+        # a valid row's cells, read inline as the helpers read them (a cell
+        # that float() takes has the value float() gives it once stripped)
+        # and tested with MachineRecord's four checks
         try:
             r_peak = float(rpeak) * rpeak_scale if rpeak.strip() else None
             r_max = float(rmax) * rmax_scale if rmax.strip() else None
             when = float(date)
             n = float(cores) if cores.strip() else None
             valid = ((r_peak is None or 0 < r_peak < inf)
-                     and (r_max is None or 0 < r_max < inf)
-                     and -inf < when < inf and (n is None or n.is_integer()))
+                     and (r_max is None or 0 < r_max < inf
+                          and (r_peak is None or r_max <= r_peak))
+                     and 1990.0 <= when <= 2100.0 and benchmark in BENCHMARKS
+                     and (n is None or n >= 1 and n.is_integer()))
         except ValueError:
             valid = False
         if valid:
-            n = None if n is None else int(n)
-        else:  # rpeak, rmax, date, cores: the order in which errors are raised
-            r_peak = _parse_perf(rpeak, rpeak_scale, line, "rpeak")
-            r_max = _parse_perf(rmax, rmax_scale, line, "rmax")
-            when = _parse_float(date, line, "date")
-            n = _parse_cores(cores, line)
-        try:
-            record = MachineRecord(machine, when, benchmark.strip(), r_peak, r_max, n)
+            records.append(tuple.__new__(MachineRecord, (
+                machine, when, benchmark, r_peak, r_max,
+                None if n is None else int(n))))
+            continue
+        # rpeak, rmax, date, cores: the order in which errors are raised
+        r_peak = _parse_perf(rpeak, rpeak_scale, line, "rpeak")
+        r_max = _parse_perf(rmax, rmax_scale, line, "rmax")
+        when = _parse_float(date, line, "date")
+        n = _parse_cores(cores, line)
+        try:  # MachineRecord words the error of a row its checks refuse
+            records.append(MachineRecord(machine, when, benchmark, r_peak, r_max, n))
         except PayloadExceedsPeak as exc:
             warnings.append(f"line {line}: rejected {machine!r}: {exc}")
-            continue
         except ValueError as exc:
             raise ParseError(line, "*", str(exc)) from None
-        records.append(record)
     return records, warnings
 
 
@@ -224,13 +230,41 @@ def _parse_cores(text: str, line: int) -> int | None:
 
 def serialize_records(records: Iterable[MachineRecord],
                       sink: io.TextIOBase) -> None:
-    """Write records in the canonical flop/s schema; inverse of parse."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["machine", "date", "benchmark",
-                     "rpeak_flops", "rmax_flops", "cores"])
-    # a record's fields are in the header's order, and csv writes None as "",
-    # a float as its repr and an int as its str
-    writer.writerows(records)
+    """Write records in the canonical flop/s schema; inverse of parse.
+
+    A float is written as its ``repr``, an int as its ``str`` and None as an
+    empty cell.  A machine name is quoted, its ``"`` doubled, only when it
+    holds ``,``, ``"``, ``\\n`` or ``\\r`` (RFC 4180).  A name that
+    :func:`parse_records` would not read back raises ValueError naming it.
+    """
+    records = list(records)  # read twice: the names, then the lines
+    quoted = _quoted_names(map(itemgetter(0), records))
+    if quoted:
+        records = [(quoted.get(r[0], r[0]), *r[1:]) for r in records]
+    sink.write("machine,date,benchmark,rpeak_flops,rmax_flops,cores\n")
+    sink.writelines(
+        f"{machine},{date!r},{benchmark},"
+        f"{'' if r_peak is None else repr(r_peak)},"
+        f"{'' if r_max is None else repr(r_max)},{'' if cores is None else cores}\n"
+        for machine, date, benchmark, r_peak, r_max, cores in records)
+
+
+def _quoted_names(names: Iterable[str]) -> dict[str, str]:
+    """The cell of each name that needs quotes; ValueError for a name that
+    parse would not read back.  Each distinct name is checked once."""
+    distinct = dict.fromkeys(names)
+    for name in distinct:
+        if name != name.strip():
+            raise ValueError(f"machine {name!r}: parse would strip its "
+                             "leading or trailing whitespace")
+        if name[:1] == "#":
+            raise ValueError(f"machine {name!r}: parse would skip its line "
+                             "as a comment")
+    joined = "".join(distinct)
+    if not any(c in joined for c in _QUOTED):
+        return {}
+    return {name: '"' + name.replace('"', '""') + '"' for name in distinct
+            if any(c in name for c in _QUOTED)}
 
 
 def derive(records: Iterable[MachineRecord]) -> list[DerivedRecord]:
@@ -343,12 +377,18 @@ def join_meta(records: Iterable[MachineRecord],
     return out
 
 
+def _open_csv(path: str) -> io.TextIOBase:
+    """``path`` opened as the csv module needs it (``newline=""``, so a quoted
+    cell keeps its line breaks), past a UTF-8 byte order mark if it has one."""
+    return open(path, encoding="utf-8-sig", newline="")
+
+
 def load_records(data_path: str | None,
                  bundled_name: str) -> tuple[list[MachineRecord], list[str]]:
     """Parse the measurement CSV at ``data_path``, or the named bundled one."""
     if data_path is None:
         return load_bundled(bundled_name)
-    with open(data_path, "r", encoding="utf-8") as fh:
+    with _open_csv(data_path) as fh:
         return parse_records(fh)
 
 
@@ -361,10 +401,10 @@ def bundled_path(name: str) -> str:
 
 def load_bundled(name: str) -> tuple[list[MachineRecord], list[str]]:
     """Parse one of the shipped measurement datasets."""
-    with open(bundled_path(name), encoding="utf-8") as fh:
+    with _open_csv(bundled_path(name)) as fh:
         return parse_records(fh)
 
 
 def load_bundled_meta() -> dict[str, dict[str, float]]:
-    with open(bundled_path("machines_meta.csv"), encoding="utf-8") as fh:
+    with _open_csv(bundled_path("machines_meta.csv")) as fh:
         return load_meta(fh)

@@ -8,8 +8,9 @@ twice (the one input the package now rejects where this copy let the last
 column win).
 
 ``serialize_records`` keeps the writer's per-field expression from before
-records were handed to ``csv`` whole, so a test can require the package's
-writer to give the same bytes.
+records were handed to ``csv`` whole, and quotes each cell with its own
+code rather than ``csv.writer``'s, which leaves a ``\\r`` bare, so a test can
+require the package's writer to give the same bytes, or the same error.
 """
 
 from __future__ import annotations
@@ -138,17 +139,32 @@ def _parse_cores(text: str, line: int) -> int | None:
     return int(value)
 
 
+def record_cells(r: MachineRecord) -> list[str]:
+    """A record's six cells as written, each quoted as RFC 4180 says: only a
+    cell holding a comma, a quote or a line break, its quotes doubled."""
+    cells = [r.machine, repr(r.date), r.benchmark,
+             "" if r.r_peak is None else repr(r.r_peak),
+             "" if r.r_max is None else repr(r.r_max),
+             "" if r.cores is None else str(r.cores)]
+    return ['"' + c.replace('"', '""') + '"' if set(c) & set(',"\r\n') else c
+            for c in cells]
+
+
 def serialize_records(records: Iterable[MachineRecord],
                       sink: io.TextIOBase) -> None:
-    """Write records in the canonical flop/s schema; inverse of parse."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["machine", "date", "benchmark",
-                     "rpeak_flops", "rmax_flops", "cores"])
-    writer.writerows((
-        r.machine,
-        repr(r.date),
-        r.benchmark,
-        "" if r.r_peak is None else repr(r.r_peak),
-        "" if r.r_max is None else repr(r.r_max),
-        "" if r.cores is None else str(r.cores),
-    ) for r in records)
+    """Write records in the canonical flop/s schema; inverse of parse.
+
+    Refuses, before writing anything, the first name in record order that
+    the parser would not read back as written.
+    """
+    records = list(records)
+    for r in records:
+        if r.machine.strip() != r.machine:
+            raise ValueError(f"machine {r.machine!r}: parse would strip its "
+                             "leading or trailing whitespace")
+        if r.machine.startswith("#"):
+            raise ValueError(f"machine {r.machine!r}: parse would skip its "
+                             "line as a comment")
+    sink.write("machine,date,benchmark,rpeak_flops,rmax_flops,cores\n")
+    for r in records:
+        sink.write(",".join(record_cells(r)) + "\n")

@@ -407,6 +407,16 @@ class TestTimeline:
         assert rc == 0
         assert out.count("\n") == 3  # header + two measurements
 
+    def test_data_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        # as a spreadsheet saves "CSV UTF-8": a BOM and CRLF line ends
+        text = (REPO_DATA / "fig3_timeline.csv").read_text(encoding="utf-8")
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+        expected = run(capsys, "timeline", "--machine", "Summit")
+        assert expected[0] == 0
+        assert run(capsys, "timeline", "--machine", "Summit",
+                   "--data", str(data)) == expected
+
     def test_unknown_machine_is_data_error(self, capsys):
         rc, _, err = run(capsys, "timeline", "--machine", "Colossus")
         assert rc == 2

@@ -1,5 +1,6 @@
 """Measurement parsing, derivation, timelines and the bundled datasets."""
 
+import csv
 import io
 
 import pytest
@@ -176,19 +177,40 @@ def _records(draw, names=_names):
 
 class TestRoundTrip:
     @settings(max_examples=200, derandomize=True)
-    @given(records=st.lists(_records(), max_size=20))
+    @given(records=st.lists(_records(_names | _awkward_names), max_size=20))
     def test_parse_serialize_identity(self, records):
+        # a record the writer refuses would not read back as written; the
+        # ones it takes read back equal
+        accepted = []
+        for r in records:
+            try:
+                serialize_records([r], io.StringIO())
+            except ValueError as exc:
+                assert str(exc).startswith(f"machine {r.machine!r}: ")
+                line = ",".join(reference_ingest.record_cells(r)) + "\n"
+                assert _outcome(parse_records, HEADER + line) != ("ok", ([r], []))
+            else:
+                accepted.append(r)
         sink = io.StringIO()
-        serialize_records(records, sink)
-        parsed, warnings = parse(sink.getvalue())
-        assert warnings == []
-        assert parsed == records
+        serialize_records(accepted, sink)
+        assert parse(sink.getvalue()) == (accepted, [])
+
+    @pytest.mark.parametrize("name", ["a\rb", "a\r\nb", 'a,"b\r"c'])
+    def test_line_breaks_in_a_name_read_back_from_a_file(self, tmp_path, name):
+        records = [MachineRecord(name, 2000.0, "HPL", 2e12, 1e12, 8)]
+        path = tmp_path / "records.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            serialize_records(records, fh)
+        assert ingest.load_records(str(path), "unused.csv") == (records, [])
 
 
 def _written(serialize, records):
     sink = io.StringIO()
-    serialize(records, sink)
-    return sink.getvalue()
+    try:
+        serialize(records, sink)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", sink.getvalue()
 
 
 class TestSerialize:
@@ -197,9 +219,28 @@ class TestSerialize:
     @settings(max_examples=300, derandomize=True)
     @given(records=st.lists(_records(st.one_of(_names, _awkward_names)),
                             max_size=20))
+    @example(records=[MachineRecord(name, 2000.0, "HPL", cores=8)
+                      for name in ["a,b", 'a"b', "a\nb", "a\rb", '"', ""]])
+    @example(records=[MachineRecord("a", 2000.0, "HPL"),
+                      MachineRecord(" b", 2000.0, "HPL"),
+                      MachineRecord("#c", 2000.0, "HPL")])
     def test_same_bytes_as_reference(self, records):
         assert (_written(serialize_records, records)
                 == _written(reference_ingest.serialize_records, records))
+
+    @settings(max_examples=200, derandomize=True)
+    @given(records=st.lists(_records(_names | _awkward_names), max_size=20))
+    def test_same_bytes_as_csv_writer_for_names_without_cr(self, records):
+        # csv.writer(lineterminator="\n") writes a bare "\r", which reads
+        # back as a line break; every other name keeps the bytes it gave
+        outcome = _written(serialize_records, records)
+        if outcome[0] == "ok" and not any("\r" in r.machine for r in records):
+            sink = io.StringIO()
+            writer = csv.writer(sink, lineterminator="\n")
+            writer.writerow(["machine", "date", "benchmark",
+                             "rpeak_flops", "rmax_flops", "cores"])
+            writer.writerows(records)
+            assert outcome == ("ok", sink.getvalue())
 
     @pytest.mark.parametrize("name", ["fig3_timeline.csv", "fig4_points.csv"])
     def test_bundled_file_same_bytes_as_reference(self, name):
@@ -207,6 +248,17 @@ class TestSerialize:
         for rows in (records, join_meta(records, ingest.load_bundled_meta())):
             assert (_written(serialize_records, rows)
                     == _written(reference_ingest.serialize_records, rows))
+
+    @pytest.mark.parametrize("name,reason", [
+        (" A", "parse would strip its leading or trailing whitespace"),
+        ("A\t", "parse would strip its leading or trailing whitespace"),
+        ("#A", "parse would skip its line as a comment")])
+    def test_name_that_would_not_read_back_is_refused(self, name, reason):
+        records = [MachineRecord("B", 2000.0, "HPL"),
+                   MachineRecord(name, 2000.0, "HPL")]
+        with pytest.raises(ValueError) as exc:
+            serialize_records(records, io.StringIO())
+        assert str(exc.value) == f"machine {name!r}: {reason}"
 
 
 def _outcome(parse, text):
@@ -271,6 +323,17 @@ class TestParseFuzz:
     @example(text=HEADER + "A,2000.0,HPL,2e12,1e12,8\x1c\n")
     @example(text=HEADER + "A,2000.0,HPL,1_000,1e2,1_000\n")
     @example(text=HEADER + "A,2000.0,HPL,2e12,1e12, \n")
+    # MachineRecord's four checks in the inline read, at each bound
+    @example(text=HEADER + "A,1990.0,HPL,2e12,1e12,8\n")
+    @example(text=HEADER + "A,1989.9999999999998,HPL,2e12,1e12,8\n")
+    @example(text=HEADER + "A,2100.0,HPL,2e12,1e12,8\n")
+    @example(text=HEADER + "A,2100.0000000000005,HPL,2e12,1e12,8\n")
+    @example(text=HEADER + "A,2000.0,HPL,2e12,1e12,1\n")
+    @example(text=HEADER + "A,2000.0,HPL,2e12,1e12,0\n")
+    @example(text=HEADER + "A,2000.0,HPL,2e12,2e12,8\n")
+    @example(text=HEADER + "A,2000.0,HPL,2e12,2000000000000.0002,8\n")
+    @example(text=HEADER + "A,2000.0, HPCG ,2e12,1e12,8\n")
+    @example(text=HEADER + "A,2000.0,hpl,2e12,1e12,8\n")
     def test_same_outcome_as_reference(self, text):
         got = _outcome(parse_records, text)
         if got[0] == "error" and got[3].endswith("duplicate header column"):
