@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 from collections import namedtuple
@@ -33,7 +34,7 @@ from .units import PREFIX_EXP
 BENCHMARKS = ("HPL", "HPCG")
 
 _HEADER_FIELDS = ("machine", "date", "benchmark", "rpeak", "rmax", "cores")
-#: the characters that make serialize_records quote a machine name
+#: the characters that make a CSV cell need quotes
 _QUOTED = ',"\n\r'
 
 
@@ -121,8 +122,6 @@ def parse_records(source: io.TextIOBase | str
     Everything else malformed raises :class:`ParseError`.  An empty file
     yields an empty list.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
     records: list[MachineRecord] = []
     warnings: list[str] = []
     rows = _non_comment_rows(source)
@@ -174,9 +173,11 @@ def parse_records(source: io.TextIOBase | str
     return records, warnings
 
 
-def _non_comment_rows(source: io.TextIOBase) -> Iterable[tuple[int, list[str]]]:
-    """Yield (file line number, row) skipping comments and blank lines."""
-    reader = csv.reader(source)
+def _non_comment_rows(source: Iterable[str] | str) -> Iterable[tuple[int, list[str]]]:
+    """Yield (file line number, row) past a leading BOM, comments and blank lines."""
+    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    first = next(lines, "").removeprefix("\ufeff")
+    reader = csv.reader(itertools.chain((first,), lines))
     try:
         for raw in reader:
             head = raw[0].lstrip() if raw else ""
@@ -203,29 +204,21 @@ def _parse_perf(text: str, scale: float, line: int, column: str) -> float | None
     text = text.strip()
     if text == "":
         return None
-    try:
-        value = float(text) * scale
-        if 0 < value < math.inf:  # the scale can overflow a finite cell
-            return value
-    except ValueError:
-        pass
-    _parse_float(text, line, column)  # a cell that is no finite number says so
-    raise ParseError(line, column,
-                     f"performance must be > 0 and finite, got {text!r}")
+    value = _parse_float(text, line, column) * scale
+    if not 0 < value < math.inf:  # the scale can overflow a finite cell
+        raise ParseError(line, column,
+                         f"performance must be > 0 and finite, got {text!r}")
+    return value
 
 
 def _parse_cores(text: str, line: int) -> int | None:
     text = text.strip()
     if text == "":
         return None
-    try:
-        value = float(text)
-        if value.is_integer():  # False for nan and +-inf
-            return int(value)
-    except ValueError:
-        pass
-    _parse_float(text, line, "cores")  # a cell that is no finite number says so
-    raise ParseError(line, "cores", f"not a whole count: {text!r}")
+    value = _parse_float(text, line, "cores")
+    if not value.is_integer():
+        raise ParseError(line, "cores", f"not a whole count: {text!r}")
+    return int(value)
 
 
 def serialize_records(records: Iterable[MachineRecord],
@@ -263,8 +256,15 @@ def _quoted_names(names: Iterable[str]) -> dict[str, str]:
     joined = "".join(distinct)
     if not any(c in joined for c in _QUOTED):
         return {}
-    return {name: '"' + name.replace('"', '""') + '"' for name in distinct
-            if any(c in name for c in _QUOTED)}
+    return {name: cell for name in distinct if (cell := csv_cell(name)) != name}
+
+
+def csv_cell(text: str) -> str:
+    """``text`` as a CSV cell: quoted, each ``"`` doubled, only when it holds
+    ``,``, ``"``, ``\\n`` or ``\\r`` (RFC 4180)."""
+    if any(c in text for c in _QUOTED):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def derive(records: Iterable[MachineRecord]) -> list[DerivedRecord]:
@@ -326,8 +326,6 @@ def load_meta(source: io.TextIOBase | str) -> dict[str, dict[str, float]]:
     This is the externally sourced join data kept apart from measurement
     files so the measured values stay auditable on their own.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
     meta: dict[str, dict[str, float]] = {}
     rows = _non_comment_rows(source)
     first = next(rows, None)
@@ -378,9 +376,8 @@ def join_meta(records: Iterable[MachineRecord],
 
 
 def _open_csv(path: str) -> io.TextIOBase:
-    """``path`` opened as the csv module needs it (``newline=""``, so a quoted
-    cell keeps its line breaks), past a UTF-8 byte order mark if it has one."""
-    return open(path, encoding="utf-8-sig", newline="")
+    """``path`` opened as the csv module needs it: ``newline=""`` keeps line breaks."""
+    return open(path, encoding="utf-8", newline="")
 
 
 def load_records(data_path: str | None,

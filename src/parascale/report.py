@@ -19,7 +19,6 @@ Figure ids used by the command line:
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from collections import namedtuple
@@ -301,15 +300,13 @@ def emit_csv(cs: CurveSet, sink: io.TextIOBase) -> None:
 
     Values use the shortest representation that parses back to the same
     float, so the output is lossless and measured inputs appear verbatim.
-    Names are quoted by the csv module's rules, once per series, and the x
-    column once for each run of series that share its ``xs`` tuple.
+    Names are quoted as :func:`ingest.csv_cell` quotes them, once per series,
+    and the x column once for each run of series that share its ``xs`` tuple.
     """
     sink.write("series,x,y\n")
     xs = None
     for s in (*cs.series, *cs.overlays):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([s.name, ""])
-        prefix = buf.getvalue()[:-1]  # "<quoted name>,"
+        prefix = ingest.csv_cell(s.name) + ","
         if s.xs is not xs:
             xs = s.xs
             x_reprs = [repr(float(x)) for x in xs]

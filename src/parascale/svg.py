@@ -39,10 +39,14 @@ _STOPS = ((13, 8, 92), (0, 140, 140), (255, 230, 51))
 
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
 
+#: the markup characters as entities, and each one XML 1.0 forbids as U+FFFD
+_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", **dict.fromkeys(
+        [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd")})
+
 
 def _escape(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;"))
+    return text.translate(_ESCAPES)
 
 
 def _fmt(v: float) -> str:
@@ -178,12 +182,12 @@ def _render_lines(cs, out, x_px, y_px, y2_px) -> None:
 
 def _rgb(ts: Iterable[float]) -> bytes:
     """Packed RGB of the gradient through ``_STOPS`` at each t, clamped to [0, 1]."""
-    channels: list[float] = []
+    channels: list[int] = []
     for t in ts:
         t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
         lo, hi, u = (*_STOPS[:2], t * 2.0) if t <= 0.5 else (*_STOPS[1:], (t - 0.5) * 2.0)
-        channels += [a + (b - a) * u for a, b in zip(lo, hi)]
-    return bytes(map(round, channels))
+        channels += [round(a + (b - a) * u) for a, b in zip(lo, hi)]
+    return bytes(channels)
 
 
 @functools.cache

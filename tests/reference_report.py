@@ -4,12 +4,12 @@ across series: the oracle of the differential test of
 
 ``emit_csv`` is kept as it was, reading each series' rows as
 ``zip(s.xs, s.ys)``: every x and y goes through ``repr(float(v))`` on every
-row.
+row.  It quotes each name with its own code rather than ``csv.writer``'s,
+which leaves a ``\\r`` bare, as ``reference_ingest.record_cells`` does.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 
 
@@ -18,12 +18,13 @@ def emit_csv(cs, sink: io.TextIOBase) -> None:
 
     Values use the shortest representation that parses back to the same
     float, so the output is lossless and measured inputs appear verbatim.
-    Names are quoted by the csv module's rules, once per series.
+    A name is quoted as RFC 4180 says: only a name holding a comma, a quote
+    or a line break, its quotes doubled.
     """
     sink.write("series,x,y\n")
     for s in (*cs.series, *cs.overlays):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([s.name, ""])
-        prefix = buf.getvalue()[:-1]  # "<quoted name>,"
-        sink.write("".join([f"{prefix}{float(x)!r},{float(y)!r}\n"
+        name = s.name
+        if set(name) & set(',"\r\n'):
+            name = '"' + name.replace('"', '""') + '"'
+        sink.write("".join([f"{name},{float(x)!r},{float(y)!r}\n"
                             for x, y in zip(s.xs, s.ys)]))

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, units, determinism."""
 
 import argparse
+import csv
 import io
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
@@ -515,6 +517,37 @@ class TestFigure:
         assert rc == 0
         assert (tmp_path / "fig5.csv").exists()
         assert (tmp_path / "fig5.svg").exists()
+
+    def test_name_with_a_carriage_return_reads_back_from_the_figure_csv(
+            self, capsys, tmp_path):
+        # RFC 4180 quotes a cell holding a bare \r, as serialize_records does
+        data = tmp_path / "cr.csv"
+        data.write_bytes(b'machine,date,benchmark,rpeak_flops,rmax_pflops,cores\n'
+                         b'"A\rB",2018.5,HPL,,1.0,\n')
+        rc, _, _ = run(capsys, "figure", "3", "--data", str(data),
+                       "--out", str(tmp_path))
+        assert rc == 0
+        text = (tmp_path / "fig3.csv").read_bytes().decode("utf-8")
+        assert text == 'series,x,y\n"A\rB",2018.5,1.0\n'
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [
+            ["series", "x", "y"], ["A\rB", "2018.5", "1.0"]]
+
+    def test_names_that_xml_forbids_render_as_replacement_characters(
+            self, capsys, tmp_path):
+        names = ["A\x01B", "C\x1cD", "E\uffffF"]
+        data = tmp_path / "ctrl.csv"
+        data.write_text("machine,date,benchmark,rpeak_flops,rmax_flops,cores\n"
+                        + "".join(f"{n},2018.5,HPL,,1.0,\n" for n in names),
+                        encoding="utf-8", newline="")
+        rc, _, _ = run(capsys, "figure", "3", "--data", str(data),
+                       "--out", str(tmp_path), "--format", "svg")
+        assert rc == 0
+        root = ET.fromstring((tmp_path / "fig3.svg").read_bytes())  # well-formed
+        texts = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert ["A\ufffdB", "C\ufffdD", "E\ufffdF"] == [t for t in texts
+                                                   if "\ufffd" in t]
+        text = (tmp_path / "fig3.csv").read_bytes().decode("utf-8")
+        assert [row[0] for row in csv.reader(io.StringIO(text, newline=""))][1:] == names
 
     def test_repo_data_override(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "figure", "3",

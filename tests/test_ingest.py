@@ -149,6 +149,42 @@ class TestParse:
             "line 2: rejected 'Bad': r_max 2e+12 exceeds r_peak 1e+12"]
 
 
+class TestByteOrderMark:
+    """A U+FEFF at the very start of the text is dropped, whatever the source;
+    one anywhere else is part of its cell."""
+
+    MEASURED = HEADER + "A,2000.0,HPL,2e12,1e12,8\n\ufeffB\ufeff,2001.0,HPCG,,1e12,\n"
+    META = "machine,cores,rpeak_flops\nX,10,1e12\n\ufeffY\ufeff,20,2e12\n"
+
+    @pytest.mark.parametrize("comment", ["", "# a comment line first\n"])
+    @pytest.mark.parametrize("wrap", [str, io.StringIO])
+    def test_parse_records(self, comment, wrap):
+        text = comment + self.MEASURED
+        records, warnings = parse_records(wrap("\ufeff" + text))
+        assert (records, warnings) == parse_records(wrap(text))
+        assert [r.machine for r in records] == ["A", "\ufeffB\ufeff"]
+
+    @pytest.mark.parametrize("comment", ["", "# a comment line first\n"])
+    @pytest.mark.parametrize("wrap", [str, io.StringIO])
+    def test_load_meta(self, comment, wrap):
+        text = comment + self.META
+        meta = load_meta(wrap("\ufeff" + text))
+        assert meta == load_meta(wrap(text))
+        assert list(meta) == ["X", "\ufeffY\ufeff"]
+
+    def test_line_numbers_stay_the_same(self):
+        text = "# comment\n" + HEADER + "A,2000.0,HPL,2e12,1e12,x\n"
+        for source in (text, "\ufeff" + text):
+            with pytest.raises(ParseError) as exc:
+                parse_records(source)
+            assert (exc.value.line, exc.value.column) == (3, "cores")
+
+    def test_a_mark_after_the_first_is_a_header_cell(self):
+        with pytest.raises(ParseError, match="unrecognized header column") as exc:
+            parse_records("\ufeff\ufeff" + self.MEASURED)
+        assert (exc.value.line, exc.value.column) == (1, "\ufeffmachine")
+
+
 _names = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 -",
     min_size=1, max_size=20).map(str.strip).filter(

@@ -514,20 +514,24 @@ class TestEmission:
 
     def test_names_quoted_as_csv_writer_quotes_them(self):
         ax = AxisSpec("x", "", "linear", 0.0, 1.0)
-        names = ("a,b", 'say "hi"', "two\nlines", "", "plain")
+        # csv.writer(lineterminator="\n") quotes as RFC 4180 does, except that
+        # it leaves a \r bare, which csv.reader then reads as a line break
+        names = ("a,b", 'say "hi"', "two\nlines", "a\rb", "", "plain")
         cs = CurveSet("t", ax, ax,
                       series=tuple(Series(n, (0.5, 1), (0.25, 2)) for n in names),
                       overlays=tuple(Series(n, (0.1,), (1e-300,)) for n in names))
-        reference = io.StringIO()
-        writer = csv.writer(reference, lineterminator="\n")
-        writer.writerow(["series", "x", "y"])
+        reference = ["series,x,y\n"]
         for s in cs.series + cs.overlays:
-            for x, y in zip(s.xs, s.ys):
-                writer.writerow([s.name, repr(float(x)), repr(float(y))])
+            cell = ('"' + s.name.replace('"', '""') + '"'
+                    if set(s.name) & set(',"\r\n') else s.name)
+            reference += [f"{cell},{float(x)!r},{float(y)!r}\n"
+                          for x, y in zip(s.xs, s.ys)]
+        assert reference[7] == '"a\rb",0.5,0.25\n'
         sink = io.StringIO()
         emit_csv(cs, sink)
-        assert sink.getvalue() == reference.getvalue()
-        read_back = [row[0] for row in csv.reader(io.StringIO(sink.getvalue()))]
+        assert sink.getvalue() == "".join(reference)
+        read_back = [row[0] for row in csv.reader(io.StringIO(sink.getvalue(),
+                                                              newline=""))]
         assert read_back[1::2][:len(names)] == list(names)
 
     @settings(max_examples=500, derandomize=True)
