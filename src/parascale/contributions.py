@@ -171,12 +171,6 @@ def peak_point(m: MachineModel, d: AlphaDecomposition) -> PeakPoint:
                      r_max_star=rmax_of_rpeak(r_peak_star, m, d).r_max)
 
 
-def _split(x: float) -> tuple[float, float]:
-    """Veltkamp's split of x into hi + lo, each of 26 bits; nan past 1.3e300."""
-    c = 134217729.0 * x  # 2**27 + 1
-    return c - (c - x), x - (c - (c - x))
-
-
 def analytic_peak_n(d: AlphaDecomposition) -> float:
     """Closed-form maximizer N* = sqrt((1-a)/b) of the payload curve.
 
@@ -185,18 +179,17 @@ def analytic_peak_n(d: AlphaDecomposition) -> float:
     N* is its peak.  It is an interior maximum only when 0 < b < 1 - a,
     i.e. N* > 1; otherwise the curve saturates without turning over (b = 0)
     or the model is invalid from N = 1 on, and ValueError is raised.  So is
-    a slope too small for N* to be a finite float.
+    a slope too small for N* to be a finite float.  1 - a is formed exactly
+    from the constants and rounded once, for every finite decomposition.
     """
-    # 1 - a without rounding a: q = ctx / total with its exact remainder r
-    # (Dekker's product q * total) and 1 - alpha_sw = s + e (Knuth's TwoSum),
-    # so that no rounding is magnified where q nears 1 - alpha_sw
-    ctx, total, alpha_sw = d.ctx_switch_clocks, d.total_clocks, d.alpha_sw
-    q, s = ctx / total, 1.0 - alpha_sw
-    (qh, ql), (th, tl), p, z = _split(q), _split(total), q * total, s - 1.0
-    r = (ctx - p) - (((qh * th - p) + qh * tl + ql * th) + ql * tl)
-    parallel = (s - q) + ((1.0 - (s - z)) - (alpha_sw + z) - r / total)
-    if math.isnan(parallel):  # a total_clocks too large to split
-        parallel = s - q
+    # 1 - a = 1 - p/q - (c/e) / (t/f) from the exact ratios, rounded once by
+    # int / int: no rounding is magnified where ctx / total nears 1 - alpha_sw.
+    # A negative 1 - a, which has no maximum, is taken as 0 so that the
+    # quotient cannot overflow a float
+    (p, q), (c, e), (t, f) = (d.alpha_sw.as_integer_ratio(),
+                              d.ctx_switch_clocks.as_integer_ratio(),
+                              d.total_clocks.as_integer_ratio())
+    parallel = max((q - p) * e * t - c * f * q, 0) / (q * e * t)
     if not 0.0 < d.slope < parallel:
         raise ValueError(
             f"no interior maximum: need 0 < slope < 1 - constant_part, got "

@@ -273,11 +273,11 @@ def _render_heatmap(cs, out, x_px, y_px) -> None:
     # Color bar with end labels.
     bar_x = PLOT_R + 18
     bar_t, bar_b = PLOT_T + 10, PLOT_B - 10
-    steps = 24
-    fills = _rgb([i / steps for i in range(steps)])
-    for i in range(steps):
-        y0 = bar_b - (bar_b - bar_t) * (i + 1) / steps
-        h = (bar_b - bar_t) / steps
+    bands = 24
+    fills = _rgb([i / bands for i in range(bands)])
+    for i in range(bands):
+        y0 = bar_b - (bar_b - bar_t) * (i + 1) / bands
+        h = (bar_b - bar_t) / bands
         out.append(f'<rect x="{bar_x}" y="{_fmt(y0)}" width="12" '
                    f'height="{_fmt(h + 0.5)}" fill="#{fills[3 * i:3 * i + 3].hex()}"/>')
     out.append(f'<text x="{bar_x + 16}" y="{_fmt(bar_b + 4)}" font-size="11" '

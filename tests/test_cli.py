@@ -715,6 +715,7 @@ class TestStartup:
                 "for argv in (['invert', '--n', '1e7', '--rpeak', '0.1254E',\n"
                 "              '--rmax', '0.0930E'],\n"
                 "             ['sweep', '--preset', 'HPL', '--points', '4'],\n"
+                "             ['predict', '--preset', 'HPL', '--rpeak', '1E'],\n"
                 "             ['timeline', '--machine', 'Summit']):\n"
                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
                 "        assert cli.main(argv) == 0, argv\n"

@@ -216,7 +216,10 @@ class TestPeakPoint:
         dict(alpha_sw=0.0, ctx_switch_clocks=0.0, total_clocks=0.5),  # N* < 1
         dict(alpha_sw=1.0, ctx_switch_clocks=0.0, total_clocks=2e13),
         dict(alpha_sw=0.5, ctx_switch_clocks=1e13, total_clocks=2e13),
-    ], ids=["n_star_below_one", "alpha_sw_one", "constant_part_one"])
+        # 1 - a = -1e600 is past the float range
+        dict(alpha_sw=0.0, ctx_switch_clocks=1e300, total_clocks=1e-300),
+    ], ids=["n_star_below_one", "alpha_sw_one", "constant_part_one",
+            "constant_part_past_the_float_range"])
     def test_no_interior_maximum_outside_domain(self, params):
         d = AlphaDecomposition(**params)
         with pytest.raises(ValueError, match="no interior maximum"):
@@ -312,20 +315,23 @@ class TestExactOracle:
     @example(d=AlphaDecomposition(0.0, 4.77594e14, 4.78e14))
     @example(d=AlphaDecomposition(0.0159, 5.30709e14, 5.43e14))
     @example(d=AlphaDecomposition(0.719, 2.53189e13, 9.06e13))
-    # a total_clocks too large for the exact remainder keeps the plain 1 - a
+    # the same corner with total_clocks past 1e300, and a huge total_clocks
+    # far from it: 1 - a is exact there too
+    @example(d=AlphaDecomposition(0.0, 4.77594e302, 4.78e302))
+    @example(d=AlphaDecomposition(0.3, 6.9e304, 1e305))
+    @example(d=AlphaDecomposition(0.0, 9.99e304, 1e305))
     @example(d=AlphaDecomposition(2e-8, 1e4, 1e305))
     def test_analytic_peak_n(self, d):
         # N* = sqrt((1 - a) / b), a = alpha_sw + ctx / total, b = bio * loop /
-        # total: seven roundings (three in 1 - a, two in b, the quotient,
-        # sqrt).  1 - a is formed from the exact remainder of ctx / total and
-        # the exact error of 1 - alpha_sw, so no rounding is magnified where
-        # ctx / total nears 1 - alpha_sw.
+        # total: five roundings (one in 1 - a, two in b, the quotient, sqrt).
+        # 1 - a is one exact quotient of integers rounded once, so no rounding
+        # is magnified where ctx / total nears 1 - alpha_sw.
         a = Fraction(d.alpha_sw) + Fraction(d.ctx_switch_clocks) / Fraction(d.total_clocks)
         b = (Fraction(d.bio_factor) * Fraction(d.loop_clocks_per_pu)
              / Fraction(d.total_clocks))
         assume(b < 1 - a)
         got = Fraction(analytic_peak_n(d))
-        tol = 7 * Fraction(math.ulp(float(got)))
+        tol = 5 * Fraction(math.ulp(float(got)))
         # sqrt((1 - a) / b) is within tol of got iff (1 - a) / b lies between
         # the squares of got - tol and got + tol
         assert (got - tol) ** 2 <= (1 - a) / b <= (got + tol) ** 2
