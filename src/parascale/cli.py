@@ -11,12 +11,15 @@ fractional years.  ``predict`` takes either ``--preset/--rpeak[/--override]``
 or ``--n/--p/--alpha``, not both; ``--p <= 0``, ``--rpeak`` below one PU, a
 ``sweep`` range too narrow for ``--points`` and ``figure --data`` for a figure
 other than 1, 3 or 4 are usage errors; an unparsable option reads ``--opt:
-<reason>``.  A ``timeline`` history holds one benchmark.
+<reason>``.  A ``timeline`` history holds one benchmark.  ``invert`` warns on
+stderr, and still exits 0, when the efficiency is below 1/N, which no serial
+fraction in [0, 1] explains.
 
 Only ``figure`` imports :mod:`parascale.report` (and through it
-:mod:`parascale.svg`), so the other commands start without them.  A figure
-that cannot be built or rendered writes no file: with ``--format svg`` the
-SVG is rendered before either file is opened.
+:mod:`parascale.svg`), and only ``timeline`` and ``figure`` import
+:mod:`parascale.ingest` (and with it :mod:`csv`), so the other commands start
+without them.  A figure that cannot be built or rendered writes no file: with
+``--format svg`` the SVG is rendered before either file is opened.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import sys
 from contextlib import nullcontext
 from itertools import pairwise
 
-from . import ingest
 from .contributions import (DEFAULT_MACHINE, AlphaDecomposition, MachineModel,
                             peak_point, preset, preset_names, rmax_of_rpeak)
 from .model import (FIGURE_DATA, FIGURE_IDS, PAYLOAD_RPEAK_RANGE, SAMPLES_PER_CURVE,
@@ -165,6 +167,9 @@ def cmd_invert(args) -> int:
         raise UsageError("need 0 < --rmax <= --rpeak")
     eff = args.rmax / args.rpeak
     nonparallel = alpha_from_measurement(args.n, eff)
+    if nonparallel > 1.0:  # the run delivered less than one PU
+        print(f"warning: efficiency {eff:.6g} is below 1/N = {1.0 / args.n:.6g}; "
+              f"no serial fraction in [0, 1] explains it", file=sys.stderr)
     print(f"efficiency = {eff:.6g}")
     print(f"nonparallel (1-alpha_eff) = {nonparallel:.6g}")
     print(f"alpha_eff = {1.0 - nonparallel:.9g}")
@@ -193,6 +198,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_timeline(args) -> int:
+    from . import ingest
     records, warnings = ingest.load_records(args.data, FIGURE_DATA["3"])
     _print_warnings(warnings)
     entry = ingest.timeline(records, args.machine)

@@ -136,6 +136,25 @@ class TestInvert:
         value = grab(r"nonparallel \(1-alpha_eff\) = ([0-9.eE+-]+)", out)
         assert value == pytest.approx(2.4e-5, rel=0.05)
 
+    def test_efficiency_below_one_over_n_is_warned(self, capsys):
+        # less than one PU delivered: the serial fraction printed is above 1
+        rc, out, err = run(capsys, "invert", "--n", "10",
+                           "--rpeak", "1000", "--rmax", "1")
+        assert (rc, out) == (0, "efficiency = 0.001\n"
+                                "nonparallel (1-alpha_eff) = 111\n"
+                                "alpha_eff = -110\n")
+        assert err == ("warning: efficiency 0.001 is below 1/N = 0.1; "
+                       "no serial fraction in [0, 1] explains it\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "10649600", "--rpeak", "0.1254E", "--rmax", "0.0930E"],
+        ["--n", "10", "--rpeak", "1000", "--rmax", "100"],  # exactly 1/N
+    ], ids=["taihulight", "one-over-n"])
+    def test_consistent_inversion_writes_no_warning(self, capsys, argv):
+        rc, out, err = run(capsys, "invert", *argv)
+        assert (rc, err) == (0, "")
+        assert grab(r"nonparallel \(1-alpha_eff\) = ([0-9.eE+-]+)", out) <= 1
+
     def test_single_pu_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "invert", "--n", "1",
                          "--rpeak", "2E", "--rmax", "1E")
@@ -679,31 +698,37 @@ class TestFigure:
         assert list(tmp_path.iterdir()) == []
 
 
+def python_s(code: str) -> str:
+    """stdout of ``code`` run in a fresh ``python -S`` on this checkout's
+    package, so no module the test runner loaded looks free."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestStartup:
     def test_import_loads_no_png_modules(self):
         # the heat map's PNG encoder imports these lazily; start-up pays nothing
         code = ("import sys, parascale.cli; "
                 "print(sorted({'struct', 'binascii', 'base64'} & set(sys.modules)))")
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert python_s(code).strip() == "[]"
 
     def test_import_loads_only_what_the_cli_needs(self):
         # report and svg load in `figure` only; importlib.resources,
-        # pathlib, typing and tempfile in no command
+        # pathlib, typing and tempfile in no command; the package root and
+        # the model core load no CSV parser
         heavy = ["importlib.resources", "pathlib", "typing", "tempfile",
                  "parascale.report", "parascale.svg"]
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        for module, unwanted in (("parascale.cli", heavy),
-                                 ("parascale", ["importlib.resources"])):
-            code = (f"import sys, {module}; "
+        core = ["importlib.resources", "parascale.ingest", "csv", "re", "enum"]
+        for statement, unwanted in (
+                ("import parascale.cli", heavy),
+                ("import parascale", core),
+                ("from parascale import contributions, model", core)):
+            code = (f"import sys; {statement}; "
                     f"print(sorted(set({unwanted!r}) & set(sys.modules)))")
-            done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                                  capture_output=True, text=True, timeout=60)
-            assert done.returncode == 0, done.stderr
-            assert done.stdout.strip() == "[]", module
+            assert python_s(code).strip() == "[]", statement
 
     def test_commands_load_no_heavy_modules(self):
         # argparse imports shutil while build_parser runs, not at import, so
@@ -720,11 +745,28 @@ class TestStartup:
                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
                 "        assert cli.main(argv) == 0, argv\n"
                 f"print(sorted(set({heavy!r}) & set(sys.modules)))")
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert python_s(code).strip() == "[]"
+
+    def test_only_timeline_loads_ingest(self):
+        # of the commands that read no figure, only timeline reads a CSV
+        code = ("import contextlib, io, sys\n"
+                "from parascale import cli\n"
+                "for argv in (['invert', '--n', '10', '--rpeak', '1000',\n"
+                "              '--rmax', '1'],\n"
+                "             ['predict', '--preset', 'HPL', '--rpeak', '1E'],\n"
+                "             ['predict', '--n', '1e6', '--p', '100G',\n"
+                "              '--alpha', '0.999999'],\n"
+                "             ['sweep', '--preset', 'NN', '--points', '8'],\n"
+                "             ['relativistic', '--t', '1e7']):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+                "            contextlib.redirect_stderr(io.StringIO()):\n"
+                "        assert cli.main(argv) == 0, argv\n"
+                "print(sorted({'csv', 'parascale.ingest'} & set(sys.modules)))\n"
+                "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                "    assert cli.main(['timeline', '--machine', 'Summit']) == 0\n"
+                "assert out.getvalue().startswith('date,rmax_flops,'), out\n"
+                "print('parascale.ingest' in sys.modules)")
+        assert python_s(code).splitlines() == ["[]", "True"]
 
     @pytest.mark.parametrize("columns", [None, "50", "0", "abc"])
     def test_help_width_is_the_one_shutil_gives(self, monkeypatch, columns):
@@ -743,6 +785,33 @@ class TestStartup:
         ours = run(capsys, *argv)
         monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
         assert run(capsys, *argv) == ours
+
+
+class TestPackageRoot:
+    INGEST_NAMES = ["DerivedRecord", "MachineRecord", "ParseError",
+                    "TimelineEntry", "derive", "parse_records",
+                    "serialize_records", "timeline"]
+
+    def test_ingest_names_load_on_first_use(self):
+        # dir() lists them before ingest loads; `import *` loads it and binds
+        # ingest's own objects
+        code = ("import sys, parascale\n"
+                "print(sorted(set(parascale.__all__) - set(dir(parascale))))\n"
+                "print('parascale.ingest' in sys.modules)\n"
+                "names = {}\n"
+                "exec('from parascale import *', names)\n"
+                "print(sorted(set(parascale.__all__) - set(names)))\n"
+                "from parascale import ingest\n"
+                f"print([n for n in {self.INGEST_NAMES!r}\n"
+                "       if not getattr(parascale, n) is names[n] is getattr(ingest, n)])")
+        assert python_s(code).splitlines() == ["[]", "False", "[]", "[]"]
+
+    def test_unknown_name_is_attribute_error(self):
+        import parascale
+        with pytest.raises(AttributeError, match="no_such_name"):
+            parascale.no_such_name  # noqa: B018
+        with pytest.raises(ImportError):
+            from parascale import no_such_name  # noqa: F401
 
 
 class TestBrokenPipe:
