@@ -13,13 +13,15 @@ or ``--n/--p/--alpha``, not both; ``--p <= 0``, ``--rpeak`` below one PU, a
 other than 1, 3 or 4 are usage errors; an unparsable option reads ``--opt:
 <reason>``.  A ``timeline`` history holds one benchmark.  ``invert`` warns on
 stderr, and still exits 0, when the efficiency is below 1/N, which no serial
-fraction in [0, 1] explains.
+fraction in [0, 1] explains, decided exactly on the options' floats.
 
 Only ``figure`` imports :mod:`parascale.report` (and through it
 :mod:`parascale.svg`), and only ``timeline`` and ``figure`` import
-:mod:`parascale.ingest` (and with it :mod:`csv`), so the other commands start
-without them.  A figure that cannot be built or rendered writes no file: with
-``--format svg`` the SVG is rendered before either file is opened.
+:mod:`parascale.ingest`, so the other commands start without them.
+``ingest`` reads CSV through csv's C reader ``_csv``, so reading a dataset
+loads neither :mod:`re` nor :mod:`enum`; the CLI still loads :mod:`re`
+through argparse.  A figure that cannot be built or rendered writes no file:
+with ``--format svg`` the SVG is rendered before either file is opened.
 """
 
 from __future__ import annotations
@@ -167,8 +169,14 @@ def cmd_invert(args) -> int:
         raise UsageError("need 0 < --rmax <= --rpeak")
     eff = args.rmax / args.rpeak
     nonparallel = alpha_from_measurement(args.n, eff)
-    if nonparallel > 1.0:  # the run delivered less than one PU
-        print(f"warning: efficiency {eff:.6g} is below 1/N = {1.0 / args.n:.6g}; "
+    # eff < 1/N decided exactly, as p/q * a/b < 1: the rounded serial fraction
+    # can read 1 within an ulp under 1/N
+    (p, q), (a, b) = eff.as_integer_ratio(), args.n.as_integer_ratio()
+    if p * a < q * b:  # the run delivered less than one PU
+        shown, bound = f"{eff:.6g}", f"{1.0 / args.n:.6g}"
+        if shown == bound:  # eff in full, and 1/N exactly
+            shown, bound = repr(eff), f"{b}/{a}"
+        print(f"warning: efficiency {shown} is below 1/N = {bound}; "
               f"no serial fraction in [0, 1] explains it", file=sys.stderr)
     print(f"efficiency = {eff:.6g}")
     print(f"nonparallel (1-alpha_eff) = {nonparallel:.6g}")

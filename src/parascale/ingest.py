@@ -19,11 +19,13 @@ the line and column.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import math
 import os
+# the objects ``csv`` itself re-exports from its C module, so nothing of
+# csv's Python layer (and with it ``re`` and ``enum``) loads
+from _csv import Error as CsvError, reader as csv_reader
 from collections import namedtuple
 from collections.abc import Iterable
 from operator import itemgetter
@@ -177,7 +179,7 @@ def _non_comment_rows(source: Iterable[str] | str) -> Iterable[tuple[int, list[s
     """Yield (file line number, row) past a leading BOM, comments and blank lines."""
     lines = iter(io.StringIO(source) if isinstance(source, str) else source)
     first = next(lines, "").removeprefix("\ufeff")
-    reader = csv.reader(itertools.chain((first,), lines))
+    reader = csv_reader(itertools.chain((first,), lines))
     try:
         for raw in reader:
             head = raw[0].lstrip() if raw else ""
@@ -185,7 +187,7 @@ def _non_comment_rows(source: Iterable[str] | str) -> Iterable[tuple[int, list[s
             if head[:1] == "#" or not (head or "".join(raw).strip()):
                 continue
             yield reader.line_num, raw
-    except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
+    except CsvError as exc:  # e.g. a cell beyond csv.field_size_limit()
         raise ParseError(reader.line_num, "*", str(exc)) from None
 
 

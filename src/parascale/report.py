@@ -67,6 +67,10 @@ class AxisSpec(namedtuple("AxisSpec", "label unit scale min max")):
             raise ValueError("log axis requires min > 0")
         return super().__new__(cls, label, unit, scale, min, max)
 
+    def holds(self, v: float) -> bool:
+        """Whether ``v`` is on the axis, either end included."""
+        return self.min <= v <= self.max
+
 
 class Series(namedtuple("Series", "name xs ys axis level", defaults=("y", None))):
     """Named x and y columns on axis "y" or "y2"; on a heat map ``level`` is their y."""
@@ -147,13 +151,16 @@ def _log_axis(label: str, unit: str, default_lo: float, default_hi: float,
     return AxisSpec(label, unit, "log10", lo, hi)
 
 
-def fig1_surface(measured: Sequence[ingest.DerivedRecord] = ()) -> CurveSet:
+def fig1_surface(measured: Sequence[ingest.DerivedRecord] = (),
+                 warnings: list[str] | None = None) -> CurveSet:
     """Efficiency grid over PU count (columns) and serial fraction (rows).
 
     Each series is one grid row: efficiencies ``ys`` over the PU counts ``xs``
     that all rows share, at the row's serial fraction ``Series.level``.  Each
     record that :func:`ingest.derive` inverted is one overlay: its cores and
-    efficiency, at the serial fraction ``derive`` found as its ``level``.
+    efficiency, at the serial fraction ``derive`` found as its ``level``.  A
+    record outside the axes, which the SVG does not mark, is named in
+    ``warnings``; its overlay stays in the curve set and the CSV.
     """
     ns = tuple(logspace(*FIG1_N_RANGE, SAMPLES_PER_CURVE))
     series = []
@@ -161,16 +168,25 @@ def fig1_surface(measured: Sequence[ingest.DerivedRecord] = ()) -> CurveSet:
         # efficiency_from_nonparallel inline: the grid constants keep n >= 1, beta > 0
         effs = tuple(1.0 / (1.0 + (n - 1.0) * beta) for n in ns)
         series.append(Series(name=f"nonparallel={beta:.6g}", xs=ns, ys=effs, level=beta))
+    inverted = sorted((d for d in measured if d.nonparallel is not None),
+                      key=lambda d: d.record.benchmark)
     overlays = tuple(Series(name=f"{d.record.benchmark} measured",
                             xs=(float(d.record.cores),), ys=(d.efficiency,),
-                            level=d.nonparallel)
-                     for d in sorted(measured, key=lambda d: d.record.benchmark)
-                     if d.nonparallel is not None)
+                            level=d.nonparallel) for d in inverted)
+    x_axis = AxisSpec("processing units", "count", "log10", *FIG1_N_RANGE)
+    y_axis = AxisSpec("serial fraction (1-alpha)", "", "log10",
+                      *FIG1_NONPARALLEL_RANGE)
+    if warnings is not None:
+        warnings.extend(
+            f"machine {r.machine!r} ({r.benchmark}, {r.date!r}) at {r.cores} PUs "
+            f"and serial fraction {level:.6g} is outside the axes; its marker "
+            f"is left out of the SVG"
+            for r, _, level in inverted
+            if not (x_axis.holds(r.cores) and y_axis.holds(level)))
     return CurveSet(
         title="Parallelization efficiency over PU count and serial fraction",
-        x_axis=AxisSpec("processing units", "count", "log10", *FIG1_N_RANGE),
-        y_axis=AxisSpec("serial fraction (1-alpha)", "", "log10",
-                        *FIG1_NONPARALLEL_RANGE),
+        x_axis=x_axis,
+        y_axis=y_axis,
         series=tuple(series),
         overlays=overlays,
     )
@@ -343,4 +359,4 @@ def build_figure(fig_id: str, data_path: str | None = None,
     if fig_id == "4":
         return fig4_curves(measured=records)
     joined = ingest.join_meta(records, ingest.load_bundled_meta())
-    return fig1_surface(measured=ingest.derive(joined))
+    return fig1_surface(measured=ingest.derive(joined), warnings=warnings)

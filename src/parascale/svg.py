@@ -262,11 +262,11 @@ def _render_heatmap(cs, out, x_px, y_px) -> None:
                f'xlink:href="{_png_href(pixels, len(rows[0].xs))}"/>')
 
     # Measured markers: each overlay's points sit at the level it carries.
-    # They have no clip path, so a marker outside either axis is left out.
+    # They have no clip path, so a marker outside either axis is left out;
+    # report.fig1_surface names each such record in its warnings.
     for ov in cs.overlays:
         for n in ov.xs:
-            if (cs.x_axis.min <= n <= cs.x_axis.max
-                    and cs.y_axis.min <= ov.level <= cs.y_axis.max):
+            if cs.x_axis.holds(n) and cs.y_axis.holds(ov.level):
                 out.append(f'<circle cx="{_fmt(x_px(n))}" cy="{_fmt(y_px(ov.level))}" '
                            f'r="4" fill="#ffffff" stroke="#000000" stroke-width="1.2"/>')
 

@@ -12,6 +12,7 @@ import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -146,10 +147,37 @@ class TestInvert:
         assert err == ("warning: efficiency 0.001 is below 1/N = 0.1; "
                        "no serial fraction in [0, 1] explains it\n")
 
+    @pytest.mark.parametrize("n,rmax,shown,bound", [
+        ("9", "0.1111111111111111", "0.1111111111111111", "1/9"),
+        ("3", "0.3333333333333333", "0.3333333333333333", "1/3"),
+    ], ids=["ninth", "third"])
+    def test_efficiency_an_ulp_under_one_over_n_is_warned(self, capsys, n, rmax,
+                                                          shown, bound):
+        # the serial fraction rounds to 1, but eff * N < 1 exactly; 1/N as a
+        # float is eff itself, so it is written as a fraction
+        rc, out, err = run(capsys, "invert", "--n", n, "--rpeak", "1", "--rmax", rmax)
+        assert rc == 0
+        assert grab(r"nonparallel \(1-alpha_eff\) = ([0-9.eE+-]+)", out) == 1
+        assert err == (f"warning: efficiency {shown} is below 1/N = {bound}; "
+                       "no serial fraction in [0, 1] explains it\n")
+
+    @settings(max_examples=300, derandomize=True)
+    @given(n=st.floats(2.0, 1e15), ulps=st.sampled_from([-1, 0, 1]))
+    @example(n=9.0, ulps=0)
+    def test_warning_fires_exactly_below_one_over_n(self, n, ulps):
+        # efficiencies at the float nearest 1/N and its two neighbours
+        eff = math.nextafter(1.0 / n, ulps) if ulps else 1.0 / n
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = cli.main(["invert", *_options(n=n, rpeak=1.0, rmax=eff)])
+        assert rc == 0
+        assert bool(err.getvalue()) == (Fraction(eff) * Fraction(n) < 1)
+
     @pytest.mark.parametrize("argv", [
         ["--n", "10649600", "--rpeak", "0.1254E", "--rmax", "0.0930E"],
-        ["--n", "10", "--rpeak", "1000", "--rmax", "100"],  # exactly 1/N
-    ], ids=["taihulight", "one-over-n"])
+        ["--n", "10", "--rpeak", "1000", "--rmax", "100"],  # the float above 1/N
+        ["--n", "4", "--rpeak", "1", "--rmax", "0.25"],  # exactly 1/N
+    ], ids=["taihulight", "one-over-n", "exactly-one-over-n"])
     def test_consistent_inversion_writes_no_warning(self, capsys, argv):
         rc, out, err = run(capsys, "invert", *argv)
         assert (rc, err) == (0, "")
@@ -627,9 +655,31 @@ class TestFigure:
                         "Duo,2019.0,HPCG,2e15,1e15,2\n", encoding="utf-8")
         rc, out, err = run(capsys, "figure", "1", "--data", str(data),
                            "--out", str(tmp_path))
-        assert (rc, out, err) == (0, f"{tmp_path / 'fig1.csv'}\n", "")
+        # Duo's serial fraction, 1, is above the axis
+        assert (rc, out) == (0, f"{tmp_path / 'fig1.csv'}\n")
+        assert err == ("warning: machine 'Duo' (HPCG, 2019.0) at 2 PUs and "
+                       "serial fraction 1 is outside the axes; its marker is "
+                       "left out of the SVG\n")
         rows = (tmp_path / "fig1.csv").read_text(encoding="utf-8").splitlines()
         assert [r for r in rows if "measured" in r] == ["HPCG measured,2.0,0.5"]
+
+    def test_marker_outside_the_axes_is_warned(self, capsys, tmp_path):
+        # Low delivered less than one of its 4 PUs: serial fraction 19/3
+        data = tmp_path / "points.csv"
+        data.write_text("machine,date,benchmark,rpeak_flops,rmax_flops,cores\n"
+                        "In,2019.0,HPL,2e18,1e18,1000000\n"
+                        "Low,2019.0,HPCG,2e15,1e14,4\n", encoding="utf-8")
+        rc, out, err = run(capsys, "figure", "1", "--data", str(data),
+                           "--out", str(tmp_path), "--format", "svg")
+        assert rc == 0
+        assert err == ("warning: machine 'Low' (HPCG, 2019.0) at 4 PUs and "
+                       "serial fraction 6.33333 is outside the axes; its "
+                       "marker is left out of the SVG\n")
+        rows = (tmp_path / "fig1.csv").read_text(encoding="utf-8").splitlines()
+        assert [r for r in rows if "measured" in r] == [
+            "HPCG measured,4.0,0.05", "HPL measured,1000000.0,0.5"]
+        root = ET.fromstring((tmp_path / "fig1.svg").read_bytes())
+        assert len(list(root.iter("{http://www.w3.org/2000/svg}circle"))) == 1
 
     @pytest.mark.parametrize("cells,axis", [("5e-324,5e-324", "x"), ("1e15,5e-324", "y")],
                              ids=["rpeak", "rmax"])
@@ -747,8 +797,20 @@ class TestStartup:
                 f"print(sorted(set({heavy!r}) & set(sys.modules)))")
         assert python_s(code).strip() == "[]"
 
+    def test_reading_data_loads_no_csv_re_or_enum(self):
+        # ingest reads CSV through csv's C reader, _csv, so neither csv's
+        # Python layer nor what it imports loads
+        code = ("import sys\n"
+                "from parascale import ingest, report\n"
+                "ingest.load_bundled_meta()\n"
+                "ingest.load_records(None, 'fig4_points.csv')\n"
+                "report.build_figure('1')\n"
+                "print(sorted({'csv', 're', 'enum'} & set(sys.modules)))")
+        assert python_s(code).strip() == "[]"
+
     def test_only_timeline_loads_ingest(self):
-        # of the commands that read no figure, only timeline reads a CSV
+        # of the commands that read no figure, only timeline reads a CSV, and
+        # it reads it without the csv module
         code = ("import contextlib, io, sys\n"
                 "from parascale import cli\n"
                 "for argv in (['invert', '--n', '10', '--rpeak', '1000',\n"
@@ -765,8 +827,8 @@ class TestStartup:
                 "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
                 "    assert cli.main(['timeline', '--machine', 'Summit']) == 0\n"
                 "assert out.getvalue().startswith('date,rmax_flops,'), out\n"
-                "print('parascale.ingest' in sys.modules)")
-        assert python_s(code).splitlines() == ["[]", "True"]
+                "print('parascale.ingest' in sys.modules, 'csv' in sys.modules)")
+        assert python_s(code).splitlines() == ["[]", "True False"]
 
     @pytest.mark.parametrize("columns", [None, "50", "0", "abc"])
     def test_help_width_is_the_one_shutil_gives(self, monkeypatch, columns):

@@ -149,6 +149,22 @@ class TestParse:
             "line 2: rejected 'Bad': r_max 2e+12 exceeds r_peak 1e+12"]
 
 
+class TestCsvReader:
+    def test_is_the_csv_modules_own_c_reader(self):
+        # ingest imports _csv, not csv; should csv ever stop re-exporting
+        # these, or change its default dialect, this fails instead of ingest
+        # reading another dialect
+        assert ingest.csv_reader is csv.reader
+        assert ingest.CsvError is csv.Error
+        # csv.excel names 7 attributes; its reader's dialect has all 8
+        names = ["delimiter", "quotechar", "escapechar", "doublequote",
+                 "skipinitialspace", "lineterminator", "quoting", "strict"]
+        default = ingest.csv_reader([]).dialect
+        excel = csv.reader([], csv.excel).dialect
+        assert ({n: getattr(default, n) for n in names}
+                == {n: getattr(excel, n) for n in names})
+
+
 class TestByteOrderMark:
     """A U+FEFF at the very start of the text is dropped, whatever the source;
     one anywhere else is part of its cell."""
