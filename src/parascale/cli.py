@@ -31,6 +31,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
+from functools import partial
 from itertools import pairwise
 
 from .contributions import (DEFAULT_MACHINE, AlphaDecomposition, MachineModel,
@@ -45,26 +46,16 @@ class UsageError(Exception):
     pass
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's default width, ``shutil.get_terminal_size().columns - 2``,
-    without shutil, which argparse would import for each ``add_argument``."""
-
-    def __init__(self, prog):
-        try:
-            columns = int(os.environ["COLUMNS"])
-        except (KeyError, ValueError):
-            columns = 0
-        if columns <= 0:
-            try:
-                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-            except (AttributeError, ValueError, OSError):
-                columns = 0
-        super().__init__(prog, width=(columns or 80) - 2)
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):  # add_parser builds subparsers with this class
-        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+        # argparse builds a formatter per add_argument to check metavars; given
+        # a width, it does not import shutil to read the terminal's
+        super().__init__(formatter_class=partial(argparse.HelpFormatter, width=80),
+                         **kwargs)
+
+    def format_help(self):  # --help is wrapped by argparse's own width rule
+        self.formatter_class = argparse.HelpFormatter
+        return super().format_help()
 
     def error(self, message):  # argparse would exit(2); we own exit codes
         raise UsageError(message.removeprefix("argument "))

@@ -81,7 +81,8 @@ class Series(namedtuple("Series", "name xs ys axis level", defaults=("y", None))
 class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_axis")):
     """A figure's series and overlays, a heat map if its series carry a ``level``;
     refuses a value its axes cannot show, an axis it lacks, mixed levels and
-    heat-map rows that are not a grid (:func:`_check_grid`)."""
+    heat-map rows that are not a grid (:func:`_check_grid`).  A heat-map overlay
+    may sit at a level <= 0 on a log axis, off the axes like any other."""
 
     __slots__ = ()
 
@@ -92,7 +93,7 @@ class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_ax
             raise ValueError("curve set needs at least one series")
         heatmap = series[0].level is not None
         xs = None
-        for s in (*series, *overlays):  # both are drawn on these axes
+        for i, s in enumerate((*series, *overlays)):  # both are drawn on these axes
             if not s.xs:
                 raise ValueError(f"series {s.name!r} is empty")
             if len(s.xs) != len(s.ys):
@@ -112,7 +113,8 @@ class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_ax
             ys = (s.level,) if heatmap else s.ys  # a heat map draws a point at its level
             if not all(map(math.isfinite, ys)):
                 raise ValueError(f"series {s.name!r} has a non-finite y")
-            if y_spec.scale == "log10" and min(ys) <= 0:
+            # a heat-map overlay off the axes is left undrawn (AxisSpec.holds)
+            if (not heatmap or i < len(series)) and y_spec.scale == "log10" and min(ys) <= 0:
                 raise ValueError(f"series {s.name!r} has y <= 0 on a log axis")
         if heatmap:
             _check_grid(series)

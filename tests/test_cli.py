@@ -13,6 +13,7 @@ import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -681,6 +682,22 @@ class TestFigure:
         root = ET.fromstring((tmp_path / "fig1.svg").read_bytes())
         assert len(list(root.iter("{http://www.w3.org/2000/svg}circle"))) == 1
 
+    def test_record_with_efficiency_one_is_warned(self, capsys, tmp_path):
+        # rmax == rpeak on 8 cores: serial fraction 0, below the log axis
+        data = tmp_path / "points.csv"
+        data.write_text("machine,date,benchmark,rpeak_flops,rmax_flops,cores\n"
+                        "Full,2019.0,HPL,2e15,2e15,8\n", encoding="utf-8")
+        rc, out, err = run(capsys, "figure", "1", "--data", str(data),
+                           "--out", str(tmp_path), "--format", "svg")
+        assert rc == 0
+        assert err == ("warning: machine 'Full' (HPL, 2019.0) at 8 PUs and "
+                       "serial fraction 0 is outside the axes; its marker is "
+                       "left out of the SVG\n")
+        rows = (tmp_path / "fig1.csv").read_text(encoding="utf-8").splitlines()
+        assert [r for r in rows if "measured" in r] == ["HPL measured,8.0,1.0"]
+        root = ET.fromstring((tmp_path / "fig1.svg").read_bytes())
+        assert list(root.iter("{http://www.w3.org/2000/svg}circle")) == []
+
     @pytest.mark.parametrize("cells,axis", [("5e-324,5e-324", "x"), ("1e15,5e-324", "y")],
                              ids=["rpeak", "rmax"])
     def test_figure4_point_at_zero_eflops_is_data_error(self, capsys, tmp_path,
@@ -760,10 +777,17 @@ def python_s(code: str) -> str:
 
 class TestStartup:
     def test_import_loads_no_png_modules(self):
-        # the heat map's PNG encoder imports these lazily; start-up pays nothing
-        code = ("import sys, parascale.cli; "
-                "print(sorted({'struct', 'binascii', 'base64'} & set(sys.modules)))")
-        assert python_s(code).strip() == "[]"
+        # the heat map's PNG encoder imports these lazily: only figure 1's SVG
+        # pays for them
+        png = ["binascii", "struct", "zlib"]
+        code = ("import sys\n"
+                "from parascale import report, svg\n"
+                "for fig_id in ('3', '4', '5', '6A', '6B', '6C'):\n"
+                "    svg.render_svg(report.build_figure(fig_id))\n"
+                f"print(sorted(set({png!r}) & set(sys.modules)))\n"
+                "svg.render_svg(report.build_figure('1'))\n"
+                f"print(sorted(set({png!r}) & set(sys.modules)))")
+        assert python_s(code).splitlines() == ["[]", repr(png)]
 
     def test_import_loads_only_what_the_cli_needs(self):
         # report and svg load in `figure` only; importlib.resources,
@@ -780,9 +804,9 @@ class TestStartup:
                     f"print(sorted(set({unwanted!r}) & set(sys.modules)))")
             assert python_s(code).strip() == "[]", statement
 
-    def test_commands_load_no_heavy_modules(self):
-        # argparse imports shutil while build_parser runs, not at import, so
-        # the commands are run to the end
+    def test_commands_load_no_heavy_modules(self, tmp_path):
+        # argparse would import shutil while a parser is built or used, not
+        # at import, so the commands are run to the end
         heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "decimal",
                  "shutil", "typing"]
         code = ("import contextlib, io, sys\n"
@@ -791,7 +815,13 @@ class TestStartup:
                 "              '--rmax', '0.0930E'],\n"
                 "             ['sweep', '--preset', 'HPL', '--points', '4'],\n"
                 "             ['predict', '--preset', 'HPL', '--rpeak', '1E'],\n"
-                "             ['timeline', '--machine', 'Summit']):\n"
+                "             ['predict', '--n', '1e6', '--p', '100G',\n"
+                "              '--alpha', '0.999999'],\n"
+                "             ['timeline', '--machine', 'Summit'],\n"
+                "             ['relativistic', '--t', '1e7'],\n"
+                f"             ['figure', '3', '-o', {str(tmp_path)!r}],\n"
+                "             ['figure', '1', '--format', 'svg',\n"
+                f"              '-o', {str(tmp_path)!r}]):\n"
                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
                 "        assert cli.main(argv) == 0, argv\n"
                 f"print(sorted(set({heavy!r}) & set(sys.modules)))")
@@ -830,14 +860,32 @@ class TestStartup:
                 "print('parascale.ingest' in sys.modules, 'csv' in sys.modules)")
         assert python_s(code).splitlines() == ["[]", "True False"]
 
+    @staticmethod
+    def _plain_parser(monkeypatch, **kwargs):
+        # an ArgumentParser that only raises on errors: argparse's own
+        # formatter throughout
+        class Plain(argparse.ArgumentParser):
+            def __init__(self, **init):
+                super().__init__(**kwargs, **init)
+
+            def error(self, message):
+                raise cli.UsageError(message)
+
+        monkeypatch.setattr(cli, "_Parser", Plain)
+
     @pytest.mark.parametrize("columns", [None, "50", "0", "abc"])
-    def test_help_width_is_the_one_shutil_gives(self, monkeypatch, columns):
+    def test_help_width_is_the_one_shutil_gives(self, capsys, monkeypatch,
+                                                columns):
         if columns is None:
             monkeypatch.delenv("COLUMNS", raising=False)
         else:
             monkeypatch.setenv("COLUMNS", columns)
+        argvs = (["--help"], ["predict", "--help"])
+        ours = [run(capsys, *argv) for argv in argvs]
         width = shutil.get_terminal_size().columns - 2
-        assert cli._HelpFormatter("parascale")._width == width
+        self._plain_parser(monkeypatch, formatter_class=partial(
+            argparse.HelpFormatter, width=width))
+        assert [run(capsys, *argv) for argv in argvs] == ours
 
     @pytest.mark.parametrize("columns", ["50", "200"])
     @pytest.mark.parametrize("argv", [["--help"], ["predict", "--help"]])
@@ -845,7 +893,7 @@ class TestStartup:
                                             argv):
         monkeypatch.setenv("COLUMNS", columns)
         ours = run(capsys, *argv)
-        monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+        self._plain_parser(monkeypatch)
         assert run(capsys, *argv) == ours
 
 

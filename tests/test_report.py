@@ -645,6 +645,9 @@ class TestCurveSetValidation:
         pytest.param({"series": (Series("a", (1.0, 2.0), (0.5, 0.5), level=math.nan),)},
                      "'a' has a non-finite y", id="nan-level"),
         pytest.param({"series": (Series("a", (1.0, 2.0), (0.5, 0.5), level=2.0),),
+                      "overlays": (Series("o", (1.0,), (0.5,), level=math.nan),)},
+                     "'o' has a non-finite y", id="nan-overlay-level"),
+        pytest.param({"series": (Series("a", (1.0, 2.0), (0.5, 0.5), level=2.0),),
                       "overlays": (Series("o", (1.0,), (0.5,)),)},
                      "levels mixed at series 'o'", id="heatmap-overlay-without-level"),
         pytest.param({"series": (Series("a", (1.0, 2.0), (0.5, 0.5)),
@@ -655,6 +658,18 @@ class TestCurveSetValidation:
         log_ax = AxisSpec("x", "", "log10", 1.0, 10.0)
         with pytest.raises(ValueError, match=re.escape(message)):
             CurveSet("t", log_ax, log_ax, **parts)
+
+    @pytest.mark.parametrize("level", [0.0, -1.0])
+    def test_heatmap_overlay_below_a_log_axis_is_left_undrawn(self, level):
+        # like a marker above the axis: kept in the curve set, no circle
+        log_ax = AxisSpec("x", "", "log10", 1.0, 10.0)
+        rows = (Series("a", (1.0, 2.0), (0.5, 0.5), level=2.0),
+                Series("b", (1.0, 2.0), (0.5, 0.25), level=3.0))
+        overlay = Series("o", (2.0,), (1.0,), level=level)
+        cs = CurveSet("t", log_ax, log_ax, series=rows, overlays=(overlay,))
+        assert cs.overlays == (overlay,)
+        root = ET.fromstring(svg.render_svg(cs))
+        assert list(root.iter(SVG_NS + "circle")) == []
 
     @pytest.mark.parametrize("rows,message", [
         pytest.param([("a", (1.0, 2.0), (0.5, 0.5), 2.0)],
