@@ -80,9 +80,9 @@ class Series(namedtuple("Series", "name xs ys axis level", defaults=("y", None))
 
 class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_axis")):
     """A figure's series and overlays, a heat map if its series carry a ``level``;
-    refuses a value its axes cannot show, an axis it lacks, mixed levels and
-    heat-map rows that are not a grid (:func:`_check_grid`).  A heat-map overlay
-    may sit at a level <= 0 on a log axis, off the axes like any other."""
+    refuses a value its axes cannot show, an axis it lacks, mixed levels, a heat
+    map on a linear axis and heat-map rows that are not a grid (:func:`_check_grid`).
+    A heat-map overlay may sit at a level <= 0 on a log axis, off the axes."""
 
     __slots__ = ()
 
@@ -92,6 +92,9 @@ class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_ax
         if not series:
             raise ValueError("curve set needs at least one series")
         heatmap = series[0].level is not None
+        for name, ax in (("x", x_axis), ("y", y_axis)) if heatmap else ():
+            if ax.scale != "log10":
+                raise ValueError(f"heat map {name} axis {ax.label!r} is linear, not log10")
         xs = None
         for i, s in enumerate((*series, *overlays)):  # both are drawn on these axes
             if not s.xs:

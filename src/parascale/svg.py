@@ -8,9 +8,8 @@ with the standard library and drawn with nearest-neighbour scaling.
 
 from __future__ import annotations
 
-import functools
 import math
-from bisect import bisect_right
+from _bisect import bisect_right  # what bisect re-exports, without bisect.py
 from collections.abc import Callable, Iterable, Sequence
 
 WIDTH = 960
@@ -36,6 +35,7 @@ PALETTE = [
 ]
 # The heat map's gradient: dark blue -> teal -> yellow over t in [0, 1].
 _STOPS = ((13, 8, 92), (0, 140, 140), (255, 230, 51))
+_COLOUR_TABLE = None  # _colour_steps()'s table, built by its first call
 
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
 
@@ -190,10 +190,12 @@ def _rgb(ts: Iterable[float]) -> bytes:
     return bytes(channels)
 
 
-@functools.cache
 def _colour_steps() -> tuple[tuple[float, ...], tuple[bytes, ...]]:
     """The rising t at which ``_rgb``'s colour changes, with the colour below the
     first and from each on: ``colours[bisect_right(steps, t)]`` is ``_rgb([t])``."""
+    global _COLOUR_TABLE
+    if _COLOUR_TABLE is not None:
+        return _COLOUR_TABLE
     steps = []
     for half, (lo, hi) in enumerate(zip(_STOPS, _STOPS[1:])):
         for a, b in zip(lo, hi):
@@ -213,7 +215,8 @@ def _colour_steps() -> tuple[tuple[float, ...], tuple[bytes, ...]]:
     # all sum |b - a| steps are found if each changes the colour and none coincide
     if len(set(steps)) < n or any(map(bytes.__eq__, colours[1:n + 1], colours[n + 1:])):
         raise RuntimeError("the gradient's colour steps disagree with _rgb")
-    return tuple(steps), tuple(colours[:n + 1])
+    _COLOUR_TABLE = tuple(steps), tuple(colours[:n + 1])
+    return _COLOUR_TABLE
 
 
 def _png_href(rows: list[bytes], width: int) -> str:

@@ -827,6 +827,16 @@ class TestStartup:
                 f"print(sorted(set({heavy!r}) & set(sys.modules)))")
         assert python_s(code).strip() == "[]"
 
+    def test_figures_load_no_functools_or_bisect(self):
+        # svg caches its colour table itself and takes bisect_right from
+        # _bisect, so building and rendering every figure loads neither
+        code = ("import sys\n"
+                "from parascale import report, svg\n"
+                "for fig_id in report.FIGURE_IDS:\n"
+                "    svg.render_svg(report.build_figure(fig_id))\n"
+                "print(sorted({'functools', 'types', 'bisect'} & set(sys.modules)))")
+        assert python_s(code).strip() == "[]"
+
     def test_reading_data_loads_no_csv_re_or_enum(self):
         # ingest reads CSV through csv's C reader, _csv, so neither csv's
         # Python layer nor what it imports loads

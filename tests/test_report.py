@@ -178,13 +178,14 @@ class TestColourRamp:
               for u in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))]
         assert looked_up(ts) == svg._rgb(ts)
 
-    def test_only_a_heat_map_builds_the_table(self):
-        svg._colour_steps.cache_clear()
+    def test_only_a_heat_map_builds_the_table(self, monkeypatch):
+        monkeypatch.setattr(svg, "_COLOUR_TABLE", None)
         for fig_id in ("3", "4", "5", "6A", "6B", "6C"):
             svg.render_svg(build_figure(fig_id))
-        assert svg._colour_steps.cache_info().currsize == 0
+        assert svg._COLOUR_TABLE is None
         svg.render_svg(build_figure("1"))
-        assert svg._colour_steps.cache_info().currsize == 1
+        table = svg._COLOUR_TABLE
+        assert table is not None and svg._colour_steps() is table
 
     def test_colormap_is_the_ramp_in_hex(self):
         # figure 1's colour bar: 24 fills from the bottom up, at t = i / 24
@@ -670,6 +671,20 @@ class TestCurveSetValidation:
         assert cs.overlays == (overlay,)
         root = ET.fromstring(svg.render_svg(cs))
         assert list(root.iter(SVG_NS + "circle")) == []
+
+    @pytest.mark.parametrize("linear", ["x", "y"])
+    def test_heatmap_refuses_a_linear_axis(self, linear):
+        # svg stretches the cells over log-uniform edges: on a linear axis it
+        # would place them wrong, or fail on an x <= 0 with a bare math error
+        log_ax = AxisSpec("log", "", "log10", 1.0, 10.0)
+        lin_ax = AxisSpec("lin", "", "linear", -2.0, 4.0)
+        xs = (-1.0, 1.0, 2.0) if linear == "x" else (1.0, 2.0, 3.0)
+        rows = (Series("a", xs, (0.5, 0.5, 0.5), level=2.0),
+                Series("b", xs, (0.5, 0.25, 0.5), level=3.0))
+        axes = (lin_ax, log_ax) if linear == "x" else (log_ax, lin_ax)
+        with pytest.raises(ValueError, match=re.escape(
+                f"heat map {linear} axis 'lin' is linear, not log10")):
+            CurveSet("t", *axes, series=rows)
 
     @pytest.mark.parametrize("rows,message", [
         pytest.param([("a", (1.0, 2.0), (0.5, 0.5), 2.0)],
