@@ -209,8 +209,9 @@ def cmd_timeline(args) -> int:
 
 
 def _speed(v: float) -> str:
-    """``:.6f``, or ``:.6e`` from 1e15 m/s on, where fixed point gets unreadable."""
-    return f"{v:.6e}" if abs(v) >= 1e15 else f"{v:.6f}"
+    """``:.6f``, or ``:.6e`` from 1e15 m/s on, where fixed point gets unreadable,
+    and for a nonzero speed below 1e-3 m/s, which fixed point would round to 0."""
+    return f"{v:.6e}" if v and not 1e-3 <= abs(v) < 1e15 else f"{v:.6f}"
 
 
 def cmd_relativistic(args) -> int:

@@ -22,17 +22,17 @@ maximum: past it, adding processors reduces delivered performance.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
-from .model import PerformancePoint, efficiency_from_nonparallel, require_finite
+from .model import (PerformancePoint, efficiency_from_nonparallel, record_type,
+                    require_finite)
 
 
 class ModelDomainError(ValueError):
     """Raised when an evaluation leaves the model's validity region."""
 
 
-class AlphaDecomposition(namedtuple("AlphaDecomposition", "alpha_sw ctx_switch_clocks "
-                                    "total_clocks loop_clocks_per_pu bio_factor")):
+class AlphaDecomposition(record_type("AlphaDecomposition", "alpha_sw ctx_switch_clocks "
+                                     "total_clocks loop_clocks_per_pu bio_factor")):
     """Constants generating the serial fraction (1-alpha_total)(N)."""
 
     __slots__ = ()
@@ -40,8 +40,8 @@ class AlphaDecomposition(namedtuple("AlphaDecomposition", "alpha_sw ctx_switch_c
     def __new__(cls, alpha_sw: float, ctx_switch_clocks: float,
                 total_clocks: float, loop_clocks_per_pu: float = 1.0,
                 bio_factor: float = 1.0):
-        self = super().__new__(cls, alpha_sw, ctx_switch_clocks, total_clocks,
-                               loop_clocks_per_pu, bio_factor)
+        self = tuple.__new__(cls, (alpha_sw, ctx_switch_clocks, total_clocks,
+                                   loop_clocks_per_pu, bio_factor))
         require_finite(self)
         for name in ("alpha_sw", "ctx_switch_clocks", "loop_clocks_per_pu"):
             if getattr(self, name) < 0:
@@ -63,13 +63,13 @@ class AlphaDecomposition(namedtuple("AlphaDecomposition", "alpha_sw ctx_switch_c
         return self.bio_factor * self.loop_clocks_per_pu / self.total_clocks
 
 
-class MachineModel(namedtuple("MachineModel", "perf_per_pu")):
+class MachineModel(record_type("MachineModel", "perf_per_pu")):
     """Per-PU payload performance of the modeled machine."""
 
     __slots__ = ()
 
     def __new__(cls, perf_per_pu: float):
-        self = super().__new__(cls, perf_per_pu)
+        self = tuple.__new__(cls, (perf_per_pu,))
         require_finite(self)
         if perf_per_pu <= 0:
             raise ValueError("perf_per_pu must be > 0")
@@ -147,7 +147,7 @@ def rmax_of_rpeak(r_peak: float, m: MachineModel,
     return PerformancePoint(r_peak, eff)
 
 
-class PeakPoint(namedtuple("PeakPoint", "n_star r_peak_star r_max_star")):
+class PeakPoint(record_type("PeakPoint", "n_star r_peak_star r_max_star")):
     """Interior maximum of the R_Max(R_Peak) curve at the continuous N*."""
 
     __slots__ = ()

@@ -26,11 +26,10 @@ import os
 # the objects ``csv`` itself re-exports from its C module, so nothing of
 # csv's Python layer (and with it ``re`` and ``enum``) loads
 from _csv import Error as CsvError, reader as csv_reader
-from collections import namedtuple
-from collections.abc import Iterable
-from operator import itemgetter
+from _collections_abc import Iterable  # what collections.abc re-exports
+from _operator import itemgetter  # what operator re-exports
 
-from .model import alpha_from_measurement, require_efficiency
+from .model import alpha_from_measurement, record_type, require_efficiency
 from .units import PREFIX_EXP
 
 BENCHMARKS = ("HPL", "HPCG")
@@ -53,8 +52,8 @@ class PayloadExceedsPeak(ValueError):
     """A record whose r_max is above its r_peak, which no machine delivers."""
 
 
-class MachineRecord(namedtuple("MachineRecord", "machine date benchmark "
-                                                 "r_peak r_max cores")):
+class MachineRecord(record_type("MachineRecord", "machine date benchmark "
+                                                  "r_peak r_max cores")):
     """One benchmark measurement row; r_peak, r_max and cores may be None."""
 
     __slots__ = ()
@@ -74,7 +73,7 @@ class MachineRecord(namedtuple("MachineRecord", "machine date benchmark "
         return tuple.__new__(cls, (machine, date, benchmark, r_peak, r_max, cores))
 
 
-class DerivedRecord(namedtuple("DerivedRecord", "record efficiency nonparallel")):
+class DerivedRecord(record_type("DerivedRecord", "record efficiency nonparallel")):
     """A :class:`MachineRecord` with efficiency and serial fraction attached.
 
     ``efficiency`` is present, and checked to be in (0, 1], whenever both
@@ -86,7 +85,7 @@ class DerivedRecord(namedtuple("DerivedRecord", "record efficiency nonparallel")
     __slots__ = ()
 
 
-class TimelineEntry(namedtuple("TimelineEntry", "points ratios")):
+class TimelineEntry(record_type("TimelineEntry", "points ratios")):
     """A machine's (date, r_max) ``points`` in date order and their ``ratios``."""
 
     __slots__ = ()

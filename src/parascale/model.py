@@ -25,8 +25,7 @@ Unit prefixes (Gflop/s, Eflop/s, ...) exist only at I/O boundaries.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from collections.abc import Iterator
+from _collections import _tuplegetter  # the C field accessor of collections' named tuples
 from itertools import chain
 
 #: Speed of light in vacuum, m/s.
@@ -44,7 +43,7 @@ FIGURE_IDS = ("1", "3", "4", "5", "6A", "6B", "6C")
 FIGURE_DATA = {"1": "fig4_points.csv", "3": "fig3_timeline.csv", "4": "fig4_points.csv"}
 
 
-def logspace(lo: float, hi: float, n: int) -> Iterator[float]:
+def logspace(lo: float, hi: float, n: int) -> chain[float]:
     """``n`` log-uniform samples from ``lo`` to ``hi``, both ends exact; the
     arguments are checked on the call, the samples made one at a time."""
     if not 0 < lo < hi:
@@ -56,8 +55,62 @@ def logspace(lo: float, hi: float, n: int) -> Iterator[float]:
                          for i in range(1, n - 1)), (hi,))
 
 
+class _Record(tuple):
+    """What the classes :func:`record_type` makes share."""
+
+    __slots__ = ()
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def _replace(self, /, **changes):
+        """A copy with ``changes`` made, without the checks, as a named tuple's."""
+        new = tuple.__new__(type(self), map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return new
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # from the stored fields: a constructor that derives a field takes
+        # one argument fewer, and ParallelSystem's would round ``nonparallel``
+        return tuple.__new__, (type(self), tuple(self))
+
+
+_MISSING = object()
+
+
+def record_type(typename: str, field_names: str, defaults: tuple = ()) -> type:
+    """A tuple subclass with the named fields, the last ones defaulting to
+    ``defaults``, as collections' named tuple factory makes, without loading
+    ``collections``.  A subclass that checks its fields overrides ``__new__``
+    and builds the tuple with ``tuple.__new__(cls, (...))``."""
+    fields = tuple(field_names.split())
+    n = len(fields)
+    fallback = (_MISSING,) * (n - len(defaults)) + defaults
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != n:
+            values = (*args, *map(kwargs.pop, fields[len(args):], fallback[len(args):]))
+            missing = [f for f, v in zip(fields, values) if v is _MISSING]
+            if len(args) > n or kwargs or missing:
+                raise TypeError(f"{typename}() got {len(args)} positional arguments for "
+                                f"{n} fields, unexpected or repeated {[*kwargs]}, "
+                                f"missing {missing}")
+            args = values
+        return tuple.__new__(cls, args)
+
+    return type(typename, (_Record,), {
+        **{name: _tuplegetter(i, f"Alias for field number {i}")
+           for i, name in enumerate(fields)},
+        "__slots__": (), "_fields": fields, "__new__": __new__})
+
+
 def require_finite(record) -> None:
-    """Raise ValueError if any field of the namedtuple ``record`` is not finite."""
+    """Raise ValueError if any field of ``record`` is not finite."""
     for name, value in zip(record._fields, record):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -69,8 +122,8 @@ def require_efficiency(eff: float) -> None:
         raise ValueError(f"efficiency must be in (0, 1], got {eff}")
 
 
-class ParallelSystem(namedtuple("ParallelSystem",
-                                "n_proc perf_single alpha nonparallel")):
+class ParallelSystem(record_type("ParallelSystem",
+                                 "n_proc perf_single alpha nonparallel")):
     """A machine described by PU count, per-PU performance and parallel fraction.
 
     ``ParallelSystem(n_proc, perf_single, alpha)`` stores ``nonparallel`` as
@@ -88,7 +141,7 @@ class ParallelSystem(namedtuple("ParallelSystem",
             raise ValueError(f"perf_single must be > 0, got {perf_single}")
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        self = super().__new__(cls, n_proc, perf_single, alpha, 1.0 - alpha)
+        self = tuple.__new__(cls, (n_proc, perf_single, alpha, 1.0 - alpha))
         require_finite(self)  # alpha and nonparallel are in [0, 1] already
         return self
 
@@ -102,13 +155,13 @@ class ParallelSystem(namedtuple("ParallelSystem",
         return system._replace(nonparallel=nonparallel)
 
 
-class RelativisticParams(namedtuple("RelativisticParams", "accel density")):
+class RelativisticParams(record_type("RelativisticParams", "accel density")):
     """Constant acceleration and the optical density of the medium."""
 
     __slots__ = ()
 
     def __new__(cls, accel: float = 9.81, density: float = 1.0):
-        self = super().__new__(cls, accel, density)
+        self = tuple.__new__(cls, (accel, density))
         require_finite(self)
         if accel <= 0:
             raise ValueError(f"accel must be > 0, got {accel}")
@@ -122,7 +175,7 @@ class RelativisticParams(namedtuple("RelativisticParams", "accel density")):
         return LIGHT_SPEED / self.density
 
 
-class PerformancePoint(namedtuple("PerformancePoint", "r_peak r_max efficiency")):
+class PerformancePoint(record_type("PerformancePoint", "r_peak r_max efficiency")):
     """Nominal performance and efficiency in (0, 1], with the payload
     ``r_max = r_peak * efficiency`` they give."""
 
@@ -134,7 +187,7 @@ class PerformancePoint(namedtuple("PerformancePoint", "r_peak r_max efficiency")
         if not (r_max > 0.0 and r_peak < math.inf):
             raise ValueError(f"need 0 < r_peak < inf and r_peak * efficiency > 0, "
                              f"got r_peak={r_peak}, efficiency={efficiency}")
-        return super().__new__(cls, r_peak, r_max, efficiency)
+        return tuple.__new__(cls, (r_peak, r_max, efficiency))
 
 
 def classic_total_perf(sys: ParallelSystem) -> float:

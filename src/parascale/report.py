@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import io
 import math
-from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from _collections_abc import Iterable, Sequence  # what collections.abc re-exports
 
 from . import ingest
 from .contributions import DEFAULT_MACHINE, alpha_os, alpha_total, preset
 from .model import (FIGURE_DATA, FIGURE_IDS, PAYLOAD_RPEAK_RANGE, SAMPLES_PER_CURVE,
                     RelativisticParams, efficiency_from_nonparallel, logspace,
-                    relativistic_speed)
+                    record_type, relativistic_speed)
 from .svg import render_svg
 
 #: Figure 1's grid: log-spaced PU counts (``SAMPLES_PER_CURVE`` columns) and
@@ -53,7 +52,7 @@ FIG6_MEASURED = {"HPL": (0.00587, 0.005), "HPCG": (0.00587, 0.000095)}
 FIG6_RPEAK_RANGE = PAYLOAD_RPEAK_RANGE  # the decomposition panels' nominal flop/s
 
 
-class AxisSpec(namedtuple("AxisSpec", "label unit scale min max")):
+class AxisSpec(record_type("AxisSpec", "label unit scale min max")):
     """One axis; ``scale`` is "linear" or "log10"."""
 
     __slots__ = ()
@@ -65,20 +64,20 @@ class AxisSpec(namedtuple("AxisSpec", "label unit scale min max")):
             raise ValueError(f"axis needs min < max, got [{min}, {max}]")
         if scale == "log10" and min <= 0:
             raise ValueError("log axis requires min > 0")
-        return super().__new__(cls, label, unit, scale, min, max)
+        return tuple.__new__(cls, (label, unit, scale, min, max))
 
     def holds(self, v: float) -> bool:
         """Whether ``v`` is on the axis, either end included."""
         return self.min <= v <= self.max
 
 
-class Series(namedtuple("Series", "name xs ys axis level", defaults=("y", None))):
+class Series(record_type("Series", "name xs ys axis level", defaults=("y", None))):
     """Named x and y columns on axis "y" or "y2"; on a heat map ``level`` is their y."""
 
     __slots__ = ()
 
 
-class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_axis")):
+class CurveSet(record_type("CurveSet", "title x_axis y_axis series overlays y2_axis")):
     """A figure's series and overlays, a heat map if its series carry a ``level``;
     refuses a value its axes cannot show, an axis it lacks, mixed levels, a heat
     map on a linear axis and heat-map rows that are not a grid (:func:`_check_grid`).
@@ -121,7 +120,7 @@ class CurveSet(namedtuple("CurveSet", "title x_axis y_axis series overlays y2_ax
                 raise ValueError(f"series {s.name!r} has y <= 0 on a log axis")
         if heatmap:
             _check_grid(series)
-        return super().__new__(cls, title, x_axis, y_axis, series, overlays, y2_axis)
+        return tuple.__new__(cls, (title, x_axis, y_axis, series, overlays, y2_axis))
 
 
 def _check_grid(rows: Sequence[Series]) -> None:

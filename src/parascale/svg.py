@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from _bisect import bisect_right  # what bisect re-exports, without bisect.py
-from collections.abc import Callable, Iterable, Sequence
+from _collections_abc import Callable, Iterable, Sequence  # what collections.abc re-exports
 
 WIDTH = 960
 HEIGHT = 600

@@ -550,6 +550,18 @@ class TestRelativistic:
         # speeds from 1e15 m/s on print in exponent form, not 301 digits
         assert out.startswith("classic = 9.810000e+300 m/s\n")
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["--t", "1e-9"], ["9.810000e-09", "9.810000e-09", "299792458.000000"]),
+        (["--t", "1", "--n", "1e300"], ["9.810000", "2.997925e-292", "2.997925e-292"]),
+        (["--t", "1e-4"], ["9.810000e-04", "9.810000e-04", "299792458.000000"]),
+        (["--t", "0"], ["0.000000", "0.000000", "299792458.000000"]),
+    ])
+    def test_tiny_speed_prints_in_exponent_form(self, capsys, argv, expected):
+        # a nonzero speed below 1e-3 m/s would read 0.000000 in fixed point
+        rc, out, err = run(capsys, "relativistic", *argv)
+        assert (rc, err) == (0, "")
+        assert re.findall(r"= (\S+) m/s", out) == expected
+
 
 class TestFigure:
     def test_writes_csv(self, capsys, tmp_path):
@@ -803,6 +815,24 @@ class TestStartup:
             code = (f"import sys; {statement}; "
                     f"print(sorted(set({unwanted!r}) & set(sys.modules)))")
             assert python_s(code).strip() == "[]", statement
+
+    def test_model_core_and_figures_load_no_collections(self):
+        # the records are built by model.record_type, not by collections'
+        # named tuples; os loads _collections_abc once a dataset is read
+        unwanted = ["collections", "collections.abc", "keyword", "operator",
+                    "reprlib", "_collections_abc"]
+        for statement in ("import parascale",
+                          "from parascale import contributions, model"):
+            code = (f"import sys; {statement}; "
+                    f"print(sorted(set({unwanted!r}) & set(sys.modules)))")
+            assert python_s(code).strip() == "[]", statement
+        code = ("import sys\n"
+                "from parascale import ingest, report, svg\n"
+                "ingest.load_bundled_meta()\n"
+                "for fig_id in report.FIGURE_IDS:\n"
+                "    svg.render_svg(report.build_figure(fig_id))\n"
+                f"print(sorted(set({unwanted[:5]!r}) & set(sys.modules)))")
+        assert python_s(code).strip() == "[]"
 
     def test_commands_load_no_heavy_modules(self, tmp_path):
         # argparse would import shutil while a parser is built or used, not

@@ -21,7 +21,7 @@ from parascale.model import ParallelSystem, modern_total_perf
 
 def replace(record, **changes):
     """A copy of ``record`` with ``changes``, built through its validating
-    constructor (a namedtuple's ``_replace`` would skip the checks)."""
+    constructor (the record's ``_replace`` would skip the checks)."""
     return type(record)(**{**record._asdict(), **changes})
 
 

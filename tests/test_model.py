@@ -4,13 +4,17 @@ Expected values marked "oracle" were computed independently with 50-digit
 decimal arithmetic and frozen here.
 """
 
+import collections
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parascale import contributions, ingest, model, report
 from parascale.model import (LIGHT_SPEED, ParallelSystem, PerformancePoint,
                              RelativisticParams, alpha_from_measurement,
                              classic_speed, classic_total_perf, efficiency,
@@ -342,3 +346,116 @@ class TestProperties:
         t = frac * limit / p.accel
         classic = classic_speed(t, p.accel)
         assert abs(relativistic_speed(t, p) - classic) <= 1e-6 * classic
+
+
+_AXIS = report.AxisSpec("x", "flop/s", "log10", 1.0, 10.0)
+_MACHINE_RECORD = ingest.MachineRecord("Summit", 2018.5, "HPL", 2e17, 1.4e17, 2414592)
+#: one instance of each public record type
+RECORDS = [
+    ParallelSystem.from_nonparallel(10, 1e9, 3.3e-8),  # 1 - alpha would round it
+    PerformancePoint(1e18, 0.5),
+    RelativisticParams(9.81, 1.5),
+    contributions.preset("NN"),
+    contributions.DEFAULT_MACHINE,
+    contributions.peak_point(contributions.DEFAULT_MACHINE, contributions.preset("HPL")),
+    _MACHINE_RECORD,
+    ingest.derive([_MACHINE_RECORD])[0],
+    ingest.TimelineEntry(((2018.5, 1.2e17), (2019.0, 1.4e17)), (1.4 / 1.2,)),
+    _AXIS,
+    report.Series("a", (1.0, 2.0), (3.0, 4.0), axis="y2"),
+    report.CurveSet("t", _AXIS, _AXIS, (report.Series("a", (1.0, 2.0), (3.0, 4.0)),)),
+]
+#: the record types whose constructor takes their fields as they are stored
+PLAIN = [contributions.PeakPoint, ingest.DerivedRecord, ingest.TimelineEntry,
+         report.Series]
+
+
+def _ids(records):
+    return [type(r).__name__ for r in records]
+
+
+def _reference(cls):
+    """The collections named tuple with the fields and defaults of ``cls``."""
+    defaults = ("y", None) if cls is report.Series else None
+    return collections.namedtuple(cls.__name__, cls._fields, defaults=defaults)
+
+
+class TestRecordTypes:
+    def test_every_public_record_type_has_an_instance(self):
+        public = {obj for mod in (model, contributions, ingest, report)
+                  for name, obj in vars(mod).items()
+                  if isinstance(obj, type) and issubclass(obj, tuple)
+                  and hasattr(obj, "_fields") and not name.startswith("_")}
+        assert public == {type(r) for r in RECORDS}
+        assert set(PLAIN) <= public
+
+    @pytest.mark.parametrize("record", RECORDS, ids=_ids(RECORDS))
+    def test_copy_deepcopy_and_pickle_round_trip(self, record):
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [pickle.loads(pickle.dumps(record, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is type(record)
+            assert twin == record  # so ParallelSystem keeps its exact 3.3e-8
+
+    @pytest.mark.parametrize("record", RECORDS, ids=_ids(RECORDS))
+    def test_matches_collections_namedtuple(self, record):
+        cls = type(record)
+        ref = _reference(cls)(*record)
+        assert cls._fields == ref._fields
+        assert record._asdict() == ref._asdict()
+        assert repr(record) == repr(ref)
+        assert record == ref == tuple(record)
+        assert hash(record) == hash(ref) == hash(tuple(record))
+        assert [getattr(record, f) for f in cls._fields] == list(record)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=_ids(RECORDS))
+    def test_replace_skips_the_checks(self, record):
+        # an object no check accepts is stored as given, in every field
+        bad = object()
+        ref = _reference(type(record))(*record)
+        for i, name in enumerate(record._fields):
+            changed = record._replace(**{name: bad})
+            assert type(changed) is type(record)
+            assert changed[i] is bad
+            assert tuple(changed) == tuple(ref._replace(**{name: bad}))
+        with pytest.raises(ValueError, match="no_such_field"):
+            record._replace(no_such_field=1)
+        with pytest.raises(ValueError, match="no_such_field"):
+            ref._replace(no_such_field=1)
+
+    @pytest.mark.parametrize("cls", PLAIN, ids=[c.__name__ for c in PLAIN])
+    def test_keyword_and_positional_construction(self, cls):
+        record = next(r for r in RECORDS if type(r) is cls)
+        ref = _reference(cls)
+        kwargs = record._asdict()
+        assert cls(*record) == cls(**kwargs) == ref(**kwargs) == record
+        head, *tail = record._fields
+        assert cls(record[0], **{f: kwargs[f] for f in tail}) == record
+        for name in cls._fields:  # each field left out in turn
+            rest = {f: v for f, v in kwargs.items() if f != name}
+            try:
+                expected = ref(**rest)
+            except TypeError:
+                with pytest.raises(TypeError, match=name):
+                    cls(**rest)
+            else:  # a field with a default
+                assert cls(**rest) == expected
+        for build in (cls, ref):
+            with pytest.raises(TypeError, match="bogus"):
+                build(**kwargs, bogus=1)
+            with pytest.raises(TypeError):
+                build(*record, record[0])  # one positional too many
+            with pytest.raises(TypeError, match=head):
+                build(*record, **{head: record[0]})  # a field given twice
+
+    def test_series_defaults(self):
+        ref = _reference(report.Series)
+        for args, kwargs in ((("a", (1.0,), (2.0,)), {}),
+                             (("a",), {"xs": (1.0,), "ys": (2.0,)}),
+                             (("a", (1.0,), (2.0,)), {"level": 3.0}),
+                             ((), {"name": "a", "xs": (1.0,), "ys": (2.0,), "axis": "y2"})):
+            series = report.Series(*args, **kwargs)
+            assert series == ref(*args, **kwargs)
+            assert repr(series) == repr(ref(*args, **kwargs))
+        assert report.Series("a", (1.0,), (2.0,))[3:] == ("y", None)
