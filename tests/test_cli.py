@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
+import import_budget
 import pytest
 from csv_fuzz import csv_text
 from hypothesis import example, given, settings
@@ -777,129 +778,24 @@ class TestFigure:
         assert list(tmp_path.iterdir()) == []
 
 
-def python_s(code: str) -> str:
-    """stdout of ``code`` run in a fresh ``python -S`` on this checkout's
-    package, so no module the test runner loaded looks free."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+class TestImportBudget:
+    @pytest.mark.parametrize("row", import_budget.ROWS, ids=lambda row: row[0])
+    def test_entry_point_keeps_its_budget(self, row, tmp_path):
+        assert import_budget.check(row, SRC, tmp_path) == ""
+
+    @pytest.mark.parametrize("code, forbidden, required, expected", [
+        ("import decimal", ("decimal", "zlib"), (), "loads ['decimal']"),
+        ("pass", (), ("decimal",), "does not load ['decimal']"),
+        ("raise ValueError('planted')", (), (), "ValueError: planted\n")],
+        ids=["forbidden loaded", "required missing", "code raises"])
+    def test_broken_row_is_reported(self, tmp_path, code, forbidden, required,
+                                    expected):
+        message = import_budget.check(("planted row", code, forbidden, required),
+                                      SRC, tmp_path)
+        assert message.startswith("planted row: ") and message.endswith(expected)
 
 
 class TestStartup:
-    def test_import_loads_no_png_modules(self):
-        # the heat map's PNG encoder imports these lazily: only figure 1's SVG
-        # pays for them
-        png = ["binascii", "struct", "zlib"]
-        code = ("import sys\n"
-                "from parascale import report, svg\n"
-                "for fig_id in ('3', '4', '5', '6A', '6B', '6C'):\n"
-                "    svg.render_svg(report.build_figure(fig_id))\n"
-                f"print(sorted(set({png!r}) & set(sys.modules)))\n"
-                "svg.render_svg(report.build_figure('1'))\n"
-                f"print(sorted(set({png!r}) & set(sys.modules)))")
-        assert python_s(code).splitlines() == ["[]", repr(png)]
-
-    def test_import_loads_only_what_the_cli_needs(self):
-        # report and svg load in `figure` only; importlib.resources,
-        # pathlib, typing and tempfile in no command; the package root and
-        # the model core load no CSV parser
-        heavy = ["importlib.resources", "pathlib", "typing", "tempfile",
-                 "parascale.report", "parascale.svg"]
-        core = ["importlib.resources", "parascale.ingest", "csv", "re", "enum"]
-        for statement, unwanted in (
-                ("import parascale.cli", heavy),
-                ("import parascale", core),
-                ("from parascale import contributions, model", core)):
-            code = (f"import sys; {statement}; "
-                    f"print(sorted(set({unwanted!r}) & set(sys.modules)))")
-            assert python_s(code).strip() == "[]", statement
-
-    def test_model_core_and_figures_load_no_collections(self):
-        # the records are built by model.record_type, not by collections'
-        # named tuples; os loads _collections_abc once a dataset is read
-        unwanted = ["collections", "collections.abc", "keyword", "operator",
-                    "reprlib", "_collections_abc"]
-        for statement in ("import parascale",
-                          "from parascale import contributions, model"):
-            code = (f"import sys; {statement}; "
-                    f"print(sorted(set({unwanted!r}) & set(sys.modules)))")
-            assert python_s(code).strip() == "[]", statement
-        code = ("import sys\n"
-                "from parascale import ingest, report, svg\n"
-                "ingest.load_bundled_meta()\n"
-                "for fig_id in report.FIGURE_IDS:\n"
-                "    svg.render_svg(report.build_figure(fig_id))\n"
-                f"print(sorted(set({unwanted[:5]!r}) & set(sys.modules)))")
-        assert python_s(code).strip() == "[]"
-
-    def test_commands_load_no_heavy_modules(self, tmp_path):
-        # argparse would import shutil while a parser is built or used, not
-        # at import, so the commands are run to the end
-        heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "decimal",
-                 "shutil", "typing"]
-        code = ("import contextlib, io, sys\n"
-                "from parascale import cli\n"
-                "for argv in (['invert', '--n', '1e7', '--rpeak', '0.1254E',\n"
-                "              '--rmax', '0.0930E'],\n"
-                "             ['sweep', '--preset', 'HPL', '--points', '4'],\n"
-                "             ['predict', '--preset', 'HPL', '--rpeak', '1E'],\n"
-                "             ['predict', '--n', '1e6', '--p', '100G',\n"
-                "              '--alpha', '0.999999'],\n"
-                "             ['timeline', '--machine', 'Summit'],\n"
-                "             ['relativistic', '--t', '1e7'],\n"
-                f"             ['figure', '3', '-o', {str(tmp_path)!r}],\n"
-                "             ['figure', '1', '--format', 'svg',\n"
-                f"              '-o', {str(tmp_path)!r}]):\n"
-                "    with contextlib.redirect_stdout(io.StringIO()):\n"
-                "        assert cli.main(argv) == 0, argv\n"
-                f"print(sorted(set({heavy!r}) & set(sys.modules)))")
-        assert python_s(code).strip() == "[]"
-
-    def test_figures_load_no_functools_or_bisect(self):
-        # svg caches its colour table itself and takes bisect_right from
-        # _bisect, so building and rendering every figure loads neither
-        code = ("import sys\n"
-                "from parascale import report, svg\n"
-                "for fig_id in report.FIGURE_IDS:\n"
-                "    svg.render_svg(report.build_figure(fig_id))\n"
-                "print(sorted({'functools', 'types', 'bisect'} & set(sys.modules)))")
-        assert python_s(code).strip() == "[]"
-
-    def test_reading_data_loads_no_csv_re_or_enum(self):
-        # ingest reads CSV through csv's C reader, _csv, so neither csv's
-        # Python layer nor what it imports loads
-        code = ("import sys\n"
-                "from parascale import ingest, report\n"
-                "ingest.load_bundled_meta()\n"
-                "ingest.load_records(None, 'fig4_points.csv')\n"
-                "report.build_figure('1')\n"
-                "print(sorted({'csv', 're', 'enum'} & set(sys.modules)))")
-        assert python_s(code).strip() == "[]"
-
-    def test_only_timeline_loads_ingest(self):
-        # of the commands that read no figure, only timeline reads a CSV, and
-        # it reads it without the csv module
-        code = ("import contextlib, io, sys\n"
-                "from parascale import cli\n"
-                "for argv in (['invert', '--n', '10', '--rpeak', '1000',\n"
-                "              '--rmax', '1'],\n"
-                "             ['predict', '--preset', 'HPL', '--rpeak', '1E'],\n"
-                "             ['predict', '--n', '1e6', '--p', '100G',\n"
-                "              '--alpha', '0.999999'],\n"
-                "             ['sweep', '--preset', 'NN', '--points', '8'],\n"
-                "             ['relativistic', '--t', '1e7']):\n"
-                "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
-                "            contextlib.redirect_stderr(io.StringIO()):\n"
-                "        assert cli.main(argv) == 0, argv\n"
-                "print(sorted({'csv', 'parascale.ingest'} & set(sys.modules)))\n"
-                "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-                "    assert cli.main(['timeline', '--machine', 'Summit']) == 0\n"
-                "assert out.getvalue().startswith('date,rmax_flops,'), out\n"
-                "print('parascale.ingest' in sys.modules, 'csv' in sys.modules)")
-        assert python_s(code).splitlines() == ["[]", "True False"]
-
     @staticmethod
     def _plain_parser(monkeypatch, **kwargs):
         # an ArgumentParser that only raises on errors: argparse's own
@@ -954,7 +850,9 @@ class TestPackageRoot:
                 "from parascale import ingest\n"
                 f"print([n for n in {self.INGEST_NAMES!r}\n"
                 "       if not getattr(parascale, n) is names[n] is getattr(ingest, n)])")
-        assert python_s(code).splitlines() == ["[]", "False", "[]", "[]"]
+        done = import_budget.run_child(code, SRC)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "False", "[]", "[]"]
 
     def test_unknown_name_is_attribute_error(self):
         import parascale

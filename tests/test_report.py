@@ -7,16 +7,14 @@ import hashlib
 import io
 import json
 import math
-import os
 import re
 import struct
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 import zlib
 from bisect import bisect_right
 from pathlib import Path
 
+import import_budget
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,9 +227,7 @@ class TestTicks:
             "        hi = math.nextafter(hi, math.inf)\n"
             "        ticks = svg._ticks(AxisSpec('x', '', 'linear', lo, hi))\n"
             "        print(repr((lo, hi, ticks)))\n")
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = import_budget.run_child(code, SRC)
         assert done.returncode == 0, done.stderr[-500:]
         axes = [ast.literal_eval(line) for line in done.stdout.splitlines()]
         assert axes[0] == (1.0, 1.0000000000000002, [1.0, 1.0000000000000002])
