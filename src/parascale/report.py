@@ -62,8 +62,8 @@ class AxisSpec(record_type("AxisSpec", "label unit scale min max")):
             raise ValueError(f"unknown axis scale {scale!r}")
         if not min < max:
             raise ValueError(f"axis needs min < max, got [{min}, {max}]")
-        if scale == "log10" and min <= 0:
-            raise ValueError("log axis requires min > 0")
+        if scale == "log10" and not (min > 0 and math.log10(min) < math.log10(max)):
+            raise ValueError("log axis requires min > 0 and log10(min) < log10(max)")
         return tuple.__new__(cls, (label, unit, scale, min, max))
 
     def holds(self, v: float) -> bool:
@@ -167,10 +167,11 @@ def fig1_surface(measured: Sequence[ingest.DerivedRecord] = (),
     ``warnings``; its overlay stays in the curve set and the CSV.
     """
     ns = tuple(logspace(*FIG1_N_RANGE, SAMPLES_PER_CURVE))
+    n_less_1 = [n - 1.0 for n in ns]
     series = []
     for beta in logspace(*FIG1_NONPARALLEL_RANGE, FIG1_ROWS):
         # efficiency_from_nonparallel inline: the grid constants keep n >= 1, beta > 0
-        effs = tuple(1.0 / (1.0 + (n - 1.0) * beta) for n in ns)
+        effs = tuple([1.0 / (1.0 + m * beta) for m in n_less_1])
         series.append(Series(name=f"nonparallel={beta:.6g}", xs=ns, ys=effs, level=beta))
     inverted = sorted((d for d in measured if d.nonparallel is not None),
                       key=lambda d: d.record.benchmark)

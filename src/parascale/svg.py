@@ -9,6 +9,7 @@ with the standard library and drawn with nearest-neighbour scaling.
 from __future__ import annotations
 
 import math
+import sys
 from _bisect import bisect_right  # what bisect re-exports, without bisect.py
 from _collections_abc import Callable, Iterable, Sequence  # what collections.abc re-exports
 
@@ -49,21 +50,20 @@ def _escape(text: str) -> str:
     return text.translate(_ESCAPES)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def _tick_label(v: float) -> str:
     return f"{v:g}"
 
 
-def _scale(spec, lo_px: float, hi_px: float) -> Callable[[float], float]:
-    """Pixel transform for an axis spec over the given pixel span."""
+def _scale(spec, lo_px: float, hi_px: float) -> Callable[[Iterable[float]], list[float]]:
+    """Pixel transform for an axis spec over the given pixel span: it maps a
+    column of values to their pixel positions, in order."""
+    log10, span = math.log10, hi_px - lo_px
     if spec.scale == "log10":
-        a, b = math.log10(spec.min), math.log10(spec.max)
-        return lambda v: lo_px + (math.log10(v) - a) / (b - a) * (hi_px - lo_px)
-    a, b = spec.min, spec.max
-    return lambda v: lo_px + (v - a) / (b - a) * (hi_px - lo_px)
+        a = log10(spec.min)
+        width = log10(spec.max) - a
+        return lambda vs: [lo_px + (log10(v) - a) / width * span for v in vs]
+    a, width = spec.min, spec.max - spec.min
+    return lambda vs: [lo_px + (v - a) / width * span for v in vs]
 
 
 def _ticks(spec) -> list[float]:
@@ -74,7 +74,8 @@ def _ticks(spec) -> list[float]:
         hi = math.floor(math.log10(spec.max) + 1e-9)
         ticks = [10.0 ** k for k in range(lo, hi + 1)]
     else:
-        raw = (spec.max - spec.min) / 6.0
+        # a step below the smallest normal float would underflow to 0 as 10.0 ** k
+        raw = max((spec.max - spec.min) / 6.0, sys.float_info.min)
         mag = 10.0 ** math.floor(math.log10(raw))
         step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag)
         # on an axis a few ulps wide neighbouring multiples round to one float
@@ -107,17 +108,17 @@ def render_svg(cs) -> str:
     y2_px = _scale(cs.y2_axis, PLOT_B, PLOT_T) if cs.y2_axis is not None else None
 
     # Frame, x ticks and labels (shared by both chart types).
-    for v in _ticks(cs.x_axis):
-        px = x_px(v)
-        out.append(f'<line x1="{_fmt(px)}" y1="{PLOT_T}" x2="{_fmt(px)}" '
+    ticks = _ticks(cs.x_axis)
+    for v, px in zip(ticks, x_px(ticks)):
+        out.append(f'<line x1="{px:.2f}" y1="{PLOT_T}" x2="{px:.2f}" '
                    f'y2="{PLOT_B}" stroke="#dddddd" stroke-width="1"/>')
-        out.append(f'<text x="{_fmt(px)}" y="{PLOT_B + 20}" text-anchor="middle" '
+        out.append(f'<text x="{px:.2f}" y="{PLOT_B + 20}" text-anchor="middle" '
                    f'font-size="12" {_FONT}>{_tick_label(v)}</text>')
-    for v in _ticks(cs.y_axis):
-        py = y_px(v)
-        out.append(f'<line x1="{PLOT_L}" y1="{_fmt(py)}" x2="{PLOT_R}" '
-                   f'y2="{_fmt(py)}" stroke="#dddddd" stroke-width="1"/>')
-        out.append(f'<text x="{PLOT_L - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
+    ticks = _ticks(cs.y_axis)
+    for v, py in zip(ticks, y_px(ticks)):
+        out.append(f'<line x1="{PLOT_L}" y1="{py:.2f}" x2="{PLOT_R}" '
+                   f'y2="{py:.2f}" stroke="#dddddd" stroke-width="1"/>')
+        out.append(f'<text x="{PLOT_L - 8}" y="{py + 4:.2f}" text-anchor="end" '
                    f'font-size="12" {_FONT}>{_tick_label(v)}</text>')
 
     if cs.series[0].level is not None:
@@ -137,9 +138,9 @@ def render_svg(cs) -> str:
                f'{_FONT} transform="rotate(-90 22 {mid_y:.1f})">'
                f'{_escape(_axis_title(cs.y_axis))}</text>')
     if y2_px is not None:
-        for v in _ticks(cs.y2_axis):
-            py = y2_px(v)
-            out.append(f'<text x="{PLOT_R + 8}" y="{_fmt(py + 4)}" '
+        ticks = _ticks(cs.y2_axis)
+        for v, py in zip(ticks, y2_px(ticks)):
+            out.append(f'<text x="{PLOT_R + 8}" y="{py + 4:.2f}" '
                        f'text-anchor="start" font-size="12" {_FONT}>'
                        f'{_tick_label(v)}</text>')
         out.append(f'<text x="{WIDTH - 16}" y="{mid_y:.1f}" text-anchor="middle" '
@@ -162,15 +163,15 @@ def _render_lines(cs, out, x_px, y_px, y2_px) -> None:
         if i < len(cs.series):  # a series is a line, an overlay dots
             if s.xs is not xs:  # series that share their x samples map them once
                 xs = s.xs
-                x_strs = [_fmt(x_px(x)) for x in xs]
-            pts = " ".join(f"{x},{_fmt(to_y(y))}" for x, y in zip(x_strs, s.ys))
+                x_strs = [f"{x:.2f}" for x in x_px(xs)]
+            pts = " ".join([f"{x},{y:.2f}" for x, y in zip(x_strs, to_y(s.ys))])
             out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
                        f'clip-path="url(#plot)" points="{pts}"/>')
             legend.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                           f'stroke="{color}" stroke-width="2.5"/>')
         else:
-            for x, y in zip(s.xs, s.ys):
-                out.append(f'<circle cx="{_fmt(x_px(x))}" cy="{_fmt(to_y(y))}" r="3.5" '
+            for x, y in zip(x_px(s.xs), to_y(s.ys)):
+                out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" '
                            f'fill="{color}" stroke="#000000" stroke-width="0.6" '
                            f'clip-path="url(#plot)"/>')
             legend.append(f'<circle cx="{lx + 11}" cy="{ly - 4}" r="3.5" '
@@ -255,12 +256,11 @@ def _render_heatmap(cs, out, x_px, y_px) -> None:
     steps, colours = _colour_steps()
     pixels = [b"".join([colours[bisect_right(steps, (math.log10(v) - vmin) / span)]
                         for v in s.ys]) for s in reversed(rows)]
-    x_lo, x_hi = _outer_edges(rows[0].xs)
-    y_lo, y_hi = _outer_edges([s.level for s in rows])
-    x0, x1, y0, y1 = x_px(x_lo), x_px(x_hi), y_px(y_hi), y_px(y_lo)
+    x0, x1 = x_px(_outer_edges(rows[0].xs))
+    y1, y0 = y_px(_outer_edges([s.level for s in rows]))
     out.append(f'<image xmlns:xlink="http://www.w3.org/1999/xlink" '
-               f'x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
-               f'height="{_fmt(y1 - y0)}" preserveAspectRatio="none" '
+               f'x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
+               f'height="{y1 - y0:.2f}" preserveAspectRatio="none" '
                f'image-rendering="optimizeSpeed" clip-path="url(#plot)" '
                f'xlink:href="{_png_href(pixels, len(rows[0].xs))}"/>')
 
@@ -268,9 +268,10 @@ def _render_heatmap(cs, out, x_px, y_px) -> None:
     # They have no clip path, so a marker outside either axis is left out;
     # report.fig1_surface names each such record in its warnings.
     for ov in cs.overlays:
-        for n in ov.xs:
-            if cs.x_axis.holds(n) and cs.y_axis.holds(ov.level):
-                out.append(f'<circle cx="{_fmt(x_px(n))}" cy="{_fmt(y_px(ov.level))}" '
+        if cs.y_axis.holds(ov.level):  # log10 of a level off the axis may raise
+            [cy] = y_px([ov.level])
+            for cx in x_px([n for n in ov.xs if cs.x_axis.holds(n)]):
+                out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" '
                            f'r="4" fill="#ffffff" stroke="#000000" stroke-width="1.2"/>')
 
     # Color bar with end labels.
@@ -281,9 +282,9 @@ def _render_heatmap(cs, out, x_px, y_px) -> None:
     for i in range(bands):
         y0 = bar_b - (bar_b - bar_t) * (i + 1) / bands
         h = (bar_b - bar_t) / bands
-        out.append(f'<rect x="{bar_x}" y="{_fmt(y0)}" width="12" '
-                   f'height="{_fmt(h + 0.5)}" fill="#{fills[3 * i:3 * i + 3].hex()}"/>')
-    out.append(f'<text x="{bar_x + 16}" y="{_fmt(bar_b + 4)}" font-size="11" '
+        out.append(f'<rect x="{bar_x}" y="{y0:.2f}" width="12" '
+                   f'height="{h + 0.5:.2f}" fill="#{fills[3 * i:3 * i + 3].hex()}"/>')
+    out.append(f'<text x="{bar_x + 16}" y="{bar_b + 4:.2f}" font-size="11" '
                f'{_FONT}>{10.0 ** vmin:.2g}</text>')
-    out.append(f'<text x="{bar_x + 16}" y="{_fmt(bar_t + 4)}" font-size="11" '
+    out.append(f'<text x="{bar_x + 16}" y="{bar_t + 4:.2f}" font-size="11" '
                f'{_FONT}>{10.0 ** vmax:.2g}</text>')

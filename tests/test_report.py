@@ -3,9 +3,7 @@
 import ast
 import base64
 import csv
-import hashlib
 import io
-import json
 import math
 import re
 import struct
@@ -14,6 +12,7 @@ import zlib
 from bisect import bisect_right
 from pathlib import Path
 
+import figure_digests
 import import_budget
 import pytest
 from hypothesis import given, settings
@@ -29,9 +28,6 @@ from parascale.report import (AxisSpec, CurveSet, Series, build_figure,
                               fig4_curves, fig5_curves, fig6_panel,
                               taihulight_perf_per_pu)
 
-FIGURE_CSV_SHA256 = (Path(__file__).resolve().parent.parent / "bench"
-                     / "figure_csv_sha256.json")
-FIGURE_SVG_SHA256 = Path(__file__).resolve().parent / "figure_svg_sha256.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
 SVG_NS = "{http://www.w3.org/2000/svg}"
 XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
@@ -215,13 +211,14 @@ class TestTicks:
     def test_linear_axis_a_few_ulps_wide(self):
         # neighbouring multiples of the step round to one float on such an
         # axis, so a loop adding the step to a float tick never ends; a child
-        # interpreter, short of time and memory, runs the ticks
+        # interpreter, short of time and memory, runs the ticks; above 0 the
+        # width is subnormal, so its 1-2-5 step would underflow to 0
         code = (
             "import math, resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
             "from parascale import svg\n"
             "from parascale.report import AxisSpec\n"
-            "for lo in (1.0, -3.0, 2010.0):\n"
+            "for lo in (1.0, -3.0, 2010.0, 0.0):\n"
             "    hi = lo\n"
             "    for _ in range(7):\n"
             "        hi = math.nextafter(hi, math.inf)\n"
@@ -231,10 +228,93 @@ class TestTicks:
         assert done.returncode == 0, done.stderr[-500:]
         axes = [ast.literal_eval(line) for line in done.stdout.splitlines()]
         assert axes[0] == (1.0, 1.0000000000000002, [1.0, 1.0000000000000002])
-        assert len(axes) == 21
+        assert axes[-1] == (0.0, 3.5e-323, [0.0])
+        assert len(axes) == 28
         for lo, hi, ticks in axes:
             assert ticks and all(lo <= v <= hi for v in ticks)
             assert all(a < b for a, b in zip(ticks, ticks[1:]))
+
+
+def scalar_px(spec, lo_px, hi_px, v):
+    """The pixel of one value by the per-value formula: svg._scale's oracle."""
+    if spec.scale == "log10":
+        a, b = math.log10(spec.min), math.log10(spec.max)
+        return lo_px + (math.log10(v) - a) / (b - a) * (hi_px - lo_px)
+    a, b = spec.min, spec.max
+    return lo_px + (v - a) / (b - a) * (hi_px - lo_px)
+
+
+def ulps_above(v, k):
+    """The float ``k`` floats above ``v``."""
+    for _ in range(k):
+        v = math.nextafter(v, math.inf)
+    return v
+
+
+@st.composite
+def axis_specs(draw):
+    """A log10 axis, or a linear one, wide or only a few ulps wide."""
+    if draw(st.booleans()):
+        lo = 10.0 ** draw(st.floats(-30.0, 30.0))
+        return AxisSpec("a", "", "log10", lo, lo * 10.0 ** draw(st.floats(1e-6, 12.0)))
+    lo = draw(st.floats(-1e6, 1e6))
+    hi = draw(st.one_of(st.floats(1e-9, 1e6).map(lambda w: lo + w),
+                        st.integers(1, 8).map(lambda k: ulps_above(lo, k))))
+    return AxisSpec("a", "", "linear", lo, hi)
+
+
+def values_near(spec):
+    """Finite values on the axis and up to a decade, or a width, beyond it."""
+    if spec.scale == "log10":
+        return st.floats(spec.min / 10.0, spec.max * 10.0)
+    return st.floats(2 * spec.min - spec.max, 2 * spec.max - spec.min)
+
+
+class TestScale:
+    # the bundled figures' digests cover only their own axes
+    @settings(max_examples=400, derandomize=True)
+    @given(axis_specs(), st.data())
+    def test_column_map_is_the_scalar_formula_bit_for_bit(self, spec, data):
+        pixels = st.floats(-2000.0, 2000.0)
+        lo_px, hi_px = data.draw(st.one_of(
+            st.sampled_from([(svg.PLOT_L, svg.PLOT_R), (svg.PLOT_B, svg.PLOT_T)]),
+            st.tuples(pixels, pixels).filter(lambda span: span[0] != span[1])))
+        vs = data.draw(st.lists(values_near(spec), max_size=20))
+        got = svg._scale(spec, lo_px, hi_px)(vs)
+        assert [float.hex(px) for px in got] == [
+            float.hex(scalar_px(spec, lo_px, hi_px, v)) for v in vs]
+
+    @settings(max_examples=150, derandomize=True)
+    @given(axis_specs(), axis_specs(), axis_specs(), st.data())
+    def test_line_chart_points_are_the_scalar_formula(self, x_axis, y_axis,
+                                                      y2_axis, data):
+        # series on y and y2, sharing their x samples or not, then overlays
+        shared = tuple(data.draw(st.lists(values_near(x_axis), min_size=1, max_size=6)))
+
+        def series(name, axis):
+            xs = data.draw(st.sampled_from([shared, tuple(
+                data.draw(st.lists(values_near(x_axis), min_size=1, max_size=6)))]))
+            ys = data.draw(st.lists(values_near(y2_axis if axis == "y2" else y_axis),
+                                    min_size=len(xs), max_size=len(xs)))
+            return Series(name, xs, tuple(ys), axis=axis)
+
+        on = data.draw(st.lists(st.sampled_from(["y", "y2"]), max_size=3)) + ["y2"]
+        lines = tuple(series(f"s{i}", axis) for i, axis in enumerate(on))
+        dots = tuple(series(f"o{i}", axis) for i, axis in enumerate(
+            data.draw(st.lists(st.sampled_from(["y", "y2"]), max_size=2))))
+        cs = CurveSet("t", x_axis, y_axis, lines, dots, y2_axis=y2_axis)
+        root = ET.fromstring(svg.render_svg(cs))
+
+        def px(s):
+            spec = y2_axis if s.axis == "y2" else y_axis
+            return [(f"{scalar_px(x_axis, svg.PLOT_L, svg.PLOT_R, x):.2f}",
+                     f"{scalar_px(spec, svg.PLOT_B, svg.PLOT_T, y):.2f}")
+                    for x, y in zip(s.xs, s.ys)]
+
+        assert [e.get("points") for e in root.iter(SVG_NS + "polyline")] == [
+            " ".join(f"{x},{y}" for x, y in px(s)) for s in lines]
+        assert [(e.get("cx"), e.get("cy")) for e in root.iter(SVG_NS + "circle")
+                if e.get("clip-path")] == [p for s in dots for p in px(s)]
 
 
 class TestHeatmapImage:
@@ -600,6 +680,9 @@ class TestCurveSetValidation:
                      series=(Series("s", (1.0,), (-1.0,)),))
         with pytest.raises(ValueError, match="min > 0"):
             AxisSpec("x", "", "log10", 0.0, 10.0)
+        # a few ulps wide, its ends have one log10: no pixel scale maps it
+        with pytest.raises(ValueError, match=re.escape("log10(min) < log10(max)")):
+            AxisSpec("x", "", "log10", 10.0, math.nextafter(10.0, math.inf))
 
     def test_ragged_series(self):
         ax = AxisSpec("x", "", "linear", 0.0, 1.0)
@@ -739,21 +822,28 @@ class TestBuildFigure:
     @pytest.mark.parametrize("fig_id,via_cli", FIGURE_OUTPUTS)
     def test_csv_bytes_match_frozen_digests(self, fig_id, via_cli, tmp_path):
         # digests of `parascale figure <id>` output, kept with the benchmark
-        frozen = json.loads(FIGURE_CSV_SHA256.read_text(encoding="utf-8"))
         data = figure_bytes(fig_id, "csv", via_cli, tmp_path)
-        assert hashlib.sha256(data).hexdigest() == frozen[fig_id]
+        assert figure_digests.digest(data, "csv") == figure_digests.frozen("csv")[fig_id]
 
     @pytest.mark.parametrize("fig_id,via_cli", FIGURE_OUTPUTS)
     def test_svg_bytes_match_frozen_digests(self, fig_id, via_cli, tmp_path):
-        # frozen digests of `parascale figure <id> --format svg`.  The PNG
-        # bytes of figure 1 depend on the zlib build, so its data: URI is cut
-        # out; test_pixels_follow_the_colour_ramp checks its pixels instead
-        frozen = json.loads(FIGURE_SVG_SHA256.read_text(encoding="utf-8"))
+        # frozen digests of `parascale figure <id> --format svg`, figure 1's
+        # PNG cut out; test_pixels_follow_the_colour_ramp checks its pixels
         data = figure_bytes(fig_id, "svg", via_cli, tmp_path)
-        text = re.sub(r'"data:image/png;base64,[^"]*"', '"data:"',
-                      data.decode("utf-8"))
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert digest == frozen[fig_id]
+        assert figure_digests.digest(data, "svg") == figure_digests.frozen("svg")[fig_id]
+
+    def test_digest_script_names_each_file_off_its_digest(self, tmp_path):
+        # the script CI runs on the installed console script's figures
+        for fig_id in report.FIGURE_IDS:
+            assert cli.main(["figure", fig_id, "--format", "svg", "-o", str(tmp_path)]) == 0
+        assert figure_digests.mismatches(tmp_path) == []
+        (tmp_path / "fig4.svg").unlink()
+        with open(tmp_path / "fig3.csv", "ab") as fh:
+            fh.write(b"\n")
+        svg_1 = tmp_path / "fig1.svg"  # other PNG bytes are cut like the built ones
+        svg_1.write_bytes(svg_1.read_bytes().replace(b"base64,", b"base64,AAAA", 1))
+        assert [m.split(":")[0] for m in figure_digests.mismatches(tmp_path)] == [
+            str(tmp_path / "fig3.csv"), str(tmp_path / "fig4.svg")]
 
     @pytest.mark.parametrize("fig_id", ["1", "4", "5", "6A", "6B", "6C"])
     def test_model_series_share_one_xs(self, fig_id):
