@@ -60,8 +60,9 @@ class AxisSpec(record_type("AxisSpec", "label unit scale min max")):
     def __new__(cls, label: str, unit: str, scale: str, min: float, max: float):
         if scale not in ("linear", "log10"):
             raise ValueError(f"unknown axis scale {scale!r}")
-        if not min < max:
-            raise ValueError(f"axis needs min < max, got [{min}, {max}]")
+        if not 0 < max - min < math.inf:  # svg scales the axis by its width
+            raise ValueError(f"axis needs min < max and a finite max - min, "
+                             f"got [{min}, {max}]")
         if scale == "log10" and not (min > 0 and math.log10(min) < math.log10(max)):
             raise ValueError("log axis requires min > 0 and log10(min) < log10(max)")
         return tuple.__new__(cls, (label, unit, scale, min, max))

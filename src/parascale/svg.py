@@ -66,6 +66,15 @@ def _scale(spec, lo_px: float, hi_px: float) -> Callable[[Iterable[float]], list
     return lambda vs: [lo_px + (v - a) / width * span for v in vs]
 
 
+def _drawable(coords: str, name: str) -> str:
+    """``coords``, a series' pixels as text, unless one reads inf or nan, the
+    only float texts with an "n": a finite value far off a narrow linear axis
+    maps past the float range."""
+    if "n" in coords:
+        raise ValueError(f"series {name!r} has a point too far off its axes to draw")
+    return coords
+
+
 def _ticks(spec) -> list[float]:
     """Tick values within [min, max]: the decades of a log axis, or the
     multiples of a 1-2-5 step on a linear one."""
@@ -164,16 +173,17 @@ def _render_lines(cs, out, x_px, y_px, y2_px) -> None:
             if s.xs is not xs:  # series that share their x samples map them once
                 xs = s.xs
                 x_strs = [f"{x:.2f}" for x in x_px(xs)]
-            pts = " ".join([f"{x},{y:.2f}" for x, y in zip(x_strs, to_y(s.ys))])
+            pts = _drawable(" ".join([f"{x},{y:.2f}" for x, y in zip(x_strs, to_y(s.ys))]),
+                            s.name)
             out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
                        f'clip-path="url(#plot)" points="{pts}"/>')
             legend.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                           f'stroke="{color}" stroke-width="2.5"/>')
         else:
-            for x, y in zip(x_px(s.xs), to_y(s.ys)):
-                out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" '
-                           f'fill="{color}" stroke="#000000" stroke-width="0.6" '
-                           f'clip-path="url(#plot)"/>')
+            dots = [f'cx="{x:.2f}" cy="{y:.2f}"' for x, y in zip(x_px(s.xs), to_y(s.ys))]
+            _drawable("".join(dots), s.name)
+            out += [f'<circle {xy} r="3.5" fill="{color}" stroke="#000000" '
+                    f'stroke-width="0.6" clip-path="url(#plot)"/>' for xy in dots]
             legend.append(f'<circle cx="{lx + 11}" cy="{ly - 4}" r="3.5" '
                           f'fill="{color}" stroke="#000000" stroke-width="0.6"/>')
         legend.append(f'<text x="{lx + 28}" y="{ly}" font-size="12" {_FONT}>'

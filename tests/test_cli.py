@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import io
 import math
 import os
@@ -735,6 +736,19 @@ class TestFigure:
         assert (rc, out, err) == (2, "", "error: planted\n")
         assert not (tmp_path / "out").exists()
 
+    def test_point_past_the_float_range_writes_no_file(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # x = 1e300 on an axis one ulp wide would be drawn at x = inf
+        axis = report.AxisSpec("x", "", "linear", 1.0, math.nextafter(1.0, 2.0))
+        cs = report.CurveSet("t", axis, axis, (report.Series("s", (1.0, 1e300),
+                                                             (1.0, 1.0)),))
+        monkeypatch.setattr(report, "build_figure", lambda *args, **kwargs: cs)
+        rc, out, err = run(capsys, "figure", "4", "--format", "svg",
+                           "--out", str(tmp_path / "out"))
+        assert (rc, out) == (2, "")
+        assert err == "error: series 's' has a point too far off its axes to draw\n"
+        assert not (tmp_path / "out").exists()
+
     def test_machine_without_rmax_is_left_out_with_a_warning(self, capsys, tmp_path):
         data = tmp_path / "two.csv"
         data.write_text("machine,date,benchmark,rpeak_flops,rmax_pflops,cores\n"
@@ -860,6 +874,54 @@ class TestPackageRoot:
             parascale.no_such_name  # noqa: B018
         with pytest.raises(ImportError):
             from parascale import no_such_name  # noqa: F401
+
+
+# as the installed console script runs: `parascale = "parascale.cli:run"`
+CONSOLE_SCRIPT = "import sys; from parascale.cli import run; sys.exit(run())"
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--n", "10649600", "--rpeak", "0.1254E", "--rmax", "0.0930E"],
+        ["predict", "--preset", "HPL", "--rpeak", "1E"],
+        ["predict", "--n", "1e6", "--p", "100G", "--alpha", "0.999999"],
+        ["sweep", "--preset", "NN", "--points", "8"],
+        ["timeline", "--machine", "Summit"],
+        ["relativistic", "--t", "1e7"],
+        ["figure", "1", "--format", "svg"],
+        ["predict"],                              # usage error
+        ["timeline", "--machine", "Nope"],        # data error
+        ["--help"],
+        ["surface"],                              # unknown command
+    ], ids=" ".join)
+    def test_a_process_ends_as_main_returns(self, capsys, monkeypatch, tmp_path, argv):
+        # `python -m parascale.cli` and the console script enter through
+        # cli.run: same exit status, stdout, stderr and files as cli.main
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("PARASCALE_DEBUG", raising=False)
+        monkeypatch.chdir(tmp_path)
+        gc_state = gc.get_freeze_count(), gc.isenabled()
+        rc, out, err = run(capsys, *argv)
+        assert (gc.get_freeze_count(), gc.isenabled()) == gc_state
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        for name, entry in (("module", ["-m", "parascale.cli"]),
+                            ("console script", ["-c", CONSOLE_SCRIPT])):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            done = subprocess.run([sys.executable, "-S", *entry, *argv], cwd=cwd,
+                                  env=env, capture_output=True, timeout=60)
+            assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (
+                rc, out, err), name
+            assert {p.name: p.read_bytes() for p in cwd.iterdir()} == files, name
+
+    def test_run_freezes_the_heap_after_main(self):
+        code = ("import gc, sys\nfrom parascale.cli import run\n"
+                "code = run()\nprint(code, gc.get_freeze_count() > 0)")
+        done = subprocess.run([sys.executable, "-S", "-c", code, "relativistic", "--t", "1e7"],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout.splitlines()[-1] == "0 True"
 
 
 class TestBrokenPipe:

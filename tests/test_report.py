@@ -15,7 +15,7 @@ from pathlib import Path
 import figure_digests
 import import_budget
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_report import emit_csv as reference_emit_csv
 
@@ -251,23 +251,37 @@ def ulps_above(v, k):
     return v
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
 @st.composite
 def axis_specs(draw):
-    """A log10 axis, or a linear one, wide or only a few ulps wide."""
+    """A log10 axis, or a linear one: wide, only a few ulps wide, or with its
+    ends anywhere in the float range a finite width apart."""
     if draw(st.booleans()):
         lo = 10.0 ** draw(st.floats(-30.0, 30.0))
         return AxisSpec("a", "", "log10", lo, lo * 10.0 ** draw(st.floats(1e-6, 12.0)))
+    if draw(st.integers(0, 3)) == 0:
+        lo, hi = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+        assume(hi - lo < math.inf)
+        return AxisSpec("a", "", "linear", lo, hi)
     lo = draw(st.floats(-1e6, 1e6))
     hi = draw(st.one_of(st.floats(1e-9, 1e6).map(lambda w: lo + w),
                         st.integers(1, 8).map(lambda k: ulps_above(lo, k))))
     return AxisSpec("a", "", "linear", lo, hi)
 
 
-def values_near(spec):
-    """Finite values on the axis and up to a decade, or a width, beyond it."""
+def values_near(spec, far=True):
+    """Finite values on the axis and up to a decade, or a width, beyond it;
+    with ``far``, also any finite value, above 0 on a log axis."""
     if spec.scale == "log10":
-        return st.floats(spec.min / 10.0, spec.max * 10.0)
-    return st.floats(2 * spec.min - spec.max, 2 * spec.max - spec.min)
+        near = st.floats(spec.min / 10.0, spec.max * 10.0)
+        anywhere = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    else:
+        width = spec.max - spec.min
+        near = st.floats(spec.min - width, spec.max + width, allow_infinity=False)
+        anywhere = FINITE
+    return st.one_of(near, anywhere) if far else near
 
 
 class TestScale:
@@ -288,13 +302,17 @@ class TestScale:
     @given(axis_specs(), axis_specs(), axis_specs(), st.data())
     def test_line_chart_points_are_the_scalar_formula(self, x_axis, y_axis,
                                                       y2_axis, data):
-        # series on y and y2, sharing their x samples or not, then overlays
-        shared = tuple(data.draw(st.lists(values_near(x_axis), min_size=1, max_size=6)))
+        # series on y and y2, sharing their x samples or not, then overlays;
+        # with `far` values a value far off a narrow axis can map past the
+        # float range, which the chart refuses, naming the first such series
+        far = data.draw(st.booleans())
+        shared = tuple(data.draw(st.lists(values_near(x_axis, far), min_size=1,
+                                          max_size=6)))
 
         def series(name, axis):
-            xs = data.draw(st.sampled_from([shared, tuple(
-                data.draw(st.lists(values_near(x_axis), min_size=1, max_size=6)))]))
-            ys = data.draw(st.lists(values_near(y2_axis if axis == "y2" else y_axis),
+            xs = data.draw(st.sampled_from([shared, tuple(data.draw(
+                st.lists(values_near(x_axis, far), min_size=1, max_size=6)))]))
+            ys = data.draw(st.lists(values_near(y2_axis if axis == "y2" else y_axis, far),
                                     min_size=len(xs), max_size=len(xs)))
             return Series(name, xs, tuple(ys), axis=axis)
 
@@ -303,7 +321,6 @@ class TestScale:
         dots = tuple(series(f"o{i}", axis) for i, axis in enumerate(
             data.draw(st.lists(st.sampled_from(["y", "y2"]), max_size=2))))
         cs = CurveSet("t", x_axis, y_axis, lines, dots, y2_axis=y2_axis)
-        root = ET.fromstring(svg.render_svg(cs))
 
         def px(s):
             spec = y2_axis if s.axis == "y2" else y_axis
@@ -311,10 +328,34 @@ class TestScale:
                      f"{scalar_px(spec, svg.PLOT_B, svg.PLOT_T, y):.2f}")
                     for x, y in zip(s.xs, s.ys)]
 
+        off = [s.name for s in (*lines, *dots)
+               if not all(math.isfinite(float(v)) for point in px(s) for v in point)]
+        if off:
+            with pytest.raises(ValueError, match=f"^series '{off[0]}' has a point too far"):
+                svg.render_svg(cs)
+            return
+        root = ET.fromstring(svg.render_svg(cs))
+
         assert [e.get("points") for e in root.iter(SVG_NS + "polyline")] == [
             " ".join(f"{x},{y}" for x, y in px(s)) for s in lines]
         assert [(e.get("cx"), e.get("cy")) for e in root.iter(SVG_NS + "circle")
                 if e.get("clip-path")] == [p for s in dots for p in px(s)]
+
+    @settings(max_examples=300, derandomize=True)
+    @example("linear", -1e308, 1e308)  # its width overflows to inf
+    @example("log10", 1.0, math.inf)
+    @given(st.sampled_from(["linear", "log10"]), st.floats(), st.floats())
+    def test_an_axis_is_refused_or_has_ticks_and_finite_pixels(self, scale, lo, hi):
+        try:
+            spec = AxisSpec("a", "", scale, lo, hi)
+        except ValueError:
+            # a linear axis is refused only for its order or its width
+            assert scale == "log10" or not (lo < hi and hi - lo < math.inf)
+            return
+        ticks = svg._ticks(spec)
+        assert all(lo <= v <= hi for v in ticks)
+        for lo_px, hi_px in ((svg.PLOT_L, svg.PLOT_R), (svg.PLOT_B, svg.PLOT_T)):
+            assert all(map(math.isfinite, svg._scale(spec, lo_px, hi_px)([lo, *ticks, hi])))
 
 
 class TestHeatmapImage:
