@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .model import (PerformancePoint, efficiency_from_nonparallel, record_type,
+from .model import (PerformancePoint, Record, efficiency_from_nonparallel,
                     require_finite)
 
 
@@ -31,8 +31,8 @@ class ModelDomainError(ValueError):
     """Raised when an evaluation leaves the model's validity region."""
 
 
-class AlphaDecomposition(record_type("AlphaDecomposition", "alpha_sw ctx_switch_clocks "
-                                     "total_clocks loop_clocks_per_pu bio_factor")):
+class AlphaDecomposition(Record, fields="alpha_sw ctx_switch_clocks total_clocks "
+                                       "loop_clocks_per_pu bio_factor"):
     """Constants generating the serial fraction (1-alpha_total)(N)."""
 
     __slots__ = ()
@@ -63,7 +63,7 @@ class AlphaDecomposition(record_type("AlphaDecomposition", "alpha_sw ctx_switch_
         return self.bio_factor * self.loop_clocks_per_pu / self.total_clocks
 
 
-class MachineModel(record_type("MachineModel", "perf_per_pu")):
+class MachineModel(Record, fields="perf_per_pu"):
     """Per-PU payload performance of the modeled machine."""
 
     __slots__ = ()
@@ -147,10 +147,13 @@ def rmax_of_rpeak(r_peak: float, m: MachineModel,
     return PerformancePoint(r_peak, eff)
 
 
-class PeakPoint(record_type("PeakPoint", "n_star r_peak_star r_max_star")):
+class PeakPoint(Record, fields="n_star r_peak_star r_max_star"):
     """Interior maximum of the R_Max(R_Peak) curve at the continuous N*."""
 
     __slots__ = ()
+
+    def __new__(cls, n_star: float, r_peak_star: float, r_max_star: float):
+        return tuple.__new__(cls, (n_star, r_peak_star, r_max_star))
 
 
 def peak_point(m: MachineModel, d: AlphaDecomposition) -> PeakPoint:

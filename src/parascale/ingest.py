@@ -29,7 +29,7 @@ from _csv import Error as CsvError, reader as csv_reader
 from _collections_abc import Iterable  # what collections.abc re-exports
 from _operator import itemgetter  # what operator re-exports
 
-from .model import alpha_from_measurement, record_type, require_efficiency
+from .model import Record, alpha_from_measurement, require_efficiency
 from .units import PREFIX_EXP
 
 BENCHMARKS = ("HPL", "HPCG")
@@ -52,8 +52,7 @@ class PayloadExceedsPeak(ValueError):
     """A record whose r_max is above its r_peak, which no machine delivers."""
 
 
-class MachineRecord(record_type("MachineRecord", "machine date benchmark "
-                                                  "r_peak r_max cores")):
+class MachineRecord(Record, fields="machine date benchmark r_peak r_max cores"):
     """One benchmark measurement row; r_peak, r_max and cores may be None."""
 
     __slots__ = ()
@@ -73,7 +72,7 @@ class MachineRecord(record_type("MachineRecord", "machine date benchmark "
         return tuple.__new__(cls, (machine, date, benchmark, r_peak, r_max, cores))
 
 
-class DerivedRecord(record_type("DerivedRecord", "record efficiency nonparallel")):
+class DerivedRecord(Record, fields="record efficiency nonparallel"):
     """A :class:`MachineRecord` with efficiency and serial fraction attached.
 
     ``efficiency`` is present, and checked to be in (0, 1], whenever both
@@ -84,11 +83,18 @@ class DerivedRecord(record_type("DerivedRecord", "record efficiency nonparallel"
 
     __slots__ = ()
 
+    def __new__(cls, record: MachineRecord, efficiency: float | None,
+                nonparallel: float | None):
+        return tuple.__new__(cls, (record, efficiency, nonparallel))
 
-class TimelineEntry(record_type("TimelineEntry", "points ratios")):
+
+class TimelineEntry(Record, fields="points ratios"):
     """A machine's (date, r_max) ``points`` in date order and their ``ratios``."""
 
     __slots__ = ()
+
+    def __new__(cls, points: tuple[tuple[float, float], ...], ratios: tuple[float, ...]):
+        return tuple.__new__(cls, (points, ratios))
 
 
 def _parse_header(row: list[str], line: int) -> tuple[list[str], dict[str, float]]:

@@ -55,10 +55,17 @@ def logspace(lo: float, hi: float, n: int) -> chain[float]:
                          for i in range(1, n - 1)), (hi,))
 
 
-class _Record(tuple):
-    """What the classes :func:`record_type` makes share."""
+class Record(tuple):
+    """A tuple with named fields, as a collections named tuple, without loading
+    ``collections``: ``class P(Record, fields="x y")``.  A record's ``__new__``
+    states its signature and builds the tuple with ``tuple.__new__``."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, fields: str):
+        cls._fields = tuple(fields.split())
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
 
     def _asdict(self) -> dict:
         return dict(zip(self._fields, self))
@@ -80,35 +87,6 @@ class _Record(tuple):
         return tuple.__new__, (type(self), tuple(self))
 
 
-_MISSING = object()
-
-
-def record_type(typename: str, field_names: str, defaults: tuple = ()) -> type:
-    """A tuple subclass with the named fields, the last ones defaulting to
-    ``defaults``, as collections' named tuple factory makes, without loading
-    ``collections``.  A subclass that checks its fields overrides ``__new__``
-    and builds the tuple with ``tuple.__new__(cls, (...))``."""
-    fields = tuple(field_names.split())
-    n = len(fields)
-    fallback = (_MISSING,) * (n - len(defaults)) + defaults
-
-    def __new__(cls, *args, **kwargs):
-        if kwargs or len(args) != n:
-            values = (*args, *map(kwargs.pop, fields[len(args):], fallback[len(args):]))
-            missing = [f for f, v in zip(fields, values) if v is _MISSING]
-            if len(args) > n or kwargs or missing:
-                raise TypeError(f"{typename}() got {len(args)} positional arguments for "
-                                f"{n} fields, unexpected or repeated {[*kwargs]}, "
-                                f"missing {missing}")
-            args = values
-        return tuple.__new__(cls, args)
-
-    return type(typename, (_Record,), {
-        **{name: _tuplegetter(i, f"Alias for field number {i}")
-           for i, name in enumerate(fields)},
-        "__slots__": (), "_fields": fields, "__new__": __new__})
-
-
 def require_finite(record) -> None:
     """Raise ValueError if any field of ``record`` is not finite."""
     for name, value in zip(record._fields, record):
@@ -122,8 +100,7 @@ def require_efficiency(eff: float) -> None:
         raise ValueError(f"efficiency must be in (0, 1], got {eff}")
 
 
-class ParallelSystem(record_type("ParallelSystem",
-                                 "n_proc perf_single alpha nonparallel")):
+class ParallelSystem(Record, fields="n_proc perf_single alpha nonparallel"):
     """A machine described by PU count, per-PU performance and parallel fraction.
 
     ``ParallelSystem(n_proc, perf_single, alpha)`` stores ``nonparallel`` as
@@ -155,7 +132,7 @@ class ParallelSystem(record_type("ParallelSystem",
         return system._replace(nonparallel=nonparallel)
 
 
-class RelativisticParams(record_type("RelativisticParams", "accel density")):
+class RelativisticParams(Record, fields="accel density"):
     """Constant acceleration and the optical density of the medium."""
 
     __slots__ = ()
@@ -175,7 +152,7 @@ class RelativisticParams(record_type("RelativisticParams", "accel density")):
         return LIGHT_SPEED / self.density
 
 
-class PerformancePoint(record_type("PerformancePoint", "r_peak r_max efficiency")):
+class PerformancePoint(Record, fields="r_peak r_max efficiency"):
     """Nominal performance and efficiency in (0, 1], with the payload
     ``r_max = r_peak * efficiency`` they give."""
 

@@ -26,8 +26,8 @@ from _collections_abc import Iterable, Sequence  # what collections.abc re-expor
 from . import ingest
 from .contributions import DEFAULT_MACHINE, alpha_os, alpha_total, preset
 from .model import (FIGURE_DATA, FIGURE_IDS, PAYLOAD_RPEAK_RANGE, SAMPLES_PER_CURVE,
-                    RelativisticParams, efficiency_from_nonparallel, logspace,
-                    record_type, relativistic_speed)
+                    Record, RelativisticParams, efficiency_from_nonparallel,
+                    logspace, relativistic_speed)
 from .svg import render_svg
 
 #: Figure 1's grid: log-spaced PU counts (``SAMPLES_PER_CURVE`` columns) and
@@ -52,7 +52,7 @@ FIG6_MEASURED = {"HPL": (0.00587, 0.005), "HPCG": (0.00587, 0.000095)}
 FIG6_RPEAK_RANGE = PAYLOAD_RPEAK_RANGE  # the decomposition panels' nominal flop/s
 
 
-class AxisSpec(record_type("AxisSpec", "label unit scale min max")):
+class AxisSpec(Record, fields="label unit scale min max"):
     """One axis; ``scale`` is "linear" or "log10"."""
 
     __slots__ = ()
@@ -72,13 +72,17 @@ class AxisSpec(record_type("AxisSpec", "label unit scale min max")):
         return self.min <= v <= self.max
 
 
-class Series(record_type("Series", "name xs ys axis level", defaults=("y", None))):
+class Series(Record, fields="name xs ys axis level"):
     """Named x and y columns on axis "y" or "y2"; on a heat map ``level`` is their y."""
 
     __slots__ = ()
 
+    def __new__(cls, name: str, xs: Sequence[float], ys: Sequence[float],
+                axis: str = "y", level: float | None = None):
+        return tuple.__new__(cls, (name, xs, ys, axis, level))
 
-class CurveSet(record_type("CurveSet", "title x_axis y_axis series overlays y2_axis")):
+
+class CurveSet(Record, fields="title x_axis y_axis series overlays y2_axis"):
     """A figure's series and overlays, a heat map if its series carry a ``level``;
     refuses a value its axes cannot show, an axis it lacks, mixed levels, a heat
     map on a linear axis and heat-map rows that are not a grid (:func:`_check_grid`).

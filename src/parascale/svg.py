@@ -247,10 +247,17 @@ def _png_href(rows: list[bytes], width: int) -> str:
     return "data:image/png;base64," + binascii.b2a_base64(png, newline=False).decode()
 
 
-def _outer_edges(centers: Sequence[float]) -> tuple[float, float]:
-    """Outer cell boundaries, half a log-space step beyond the end centres."""
+def _outer_edges(centers: Sequence[float], axis: str) -> tuple[float, float]:
+    """Outer cell boundaries, half a log-space step beyond the end centres;
+    ValueError, naming ``axis``, if one is past the range of a positive float."""
     a, b, y, z = (math.log10(c) for c in centers[:2] + centers[-2:])
-    return 10.0 ** (a - (b - a) / 2.0), 10.0 ** (z + (z - y) / 2.0)
+    try:
+        lo, hi = 10.0 ** (a - (b - a) / 2.0), 10.0 ** (z + (z - y) / 2.0)
+        if lo > 0.0:
+            return lo, hi
+    except OverflowError:
+        pass
+    raise ValueError(f"heat map {axis} cells reach past the float range")
 
 
 def _render_heatmap(cs, out, x_px, y_px) -> None:
@@ -266,8 +273,8 @@ def _render_heatmap(cs, out, x_px, y_px) -> None:
     steps, colours = _colour_steps()
     pixels = [b"".join([colours[bisect_right(steps, (math.log10(v) - vmin) / span)]
                         for v in s.ys]) for s in reversed(rows)]
-    x0, x1 = x_px(_outer_edges(rows[0].xs))
-    y1, y0 = y_px(_outer_edges([s.level for s in rows]))
+    x0, x1 = x_px(_outer_edges(rows[0].xs, "x"))
+    y1, y0 = y_px(_outer_edges([s.level for s in rows], "y"))
     out.append(f'<image xmlns:xlink="http://www.w3.org/1999/xlink" '
                f'x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
                f'height="{y1 - y0:.2f}" preserveAspectRatio="none" '

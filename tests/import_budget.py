@@ -17,7 +17,7 @@ import sys
 
 # argparse's re loads the first eight, so only the CLI may; ingest reads CSV
 # through csv's C reader _csv, svg takes bisect_right from _bisect, and
-# model.record_type builds the records without collections
+# the records subclass model.Record, which needs no collections
 LIBRARY = ("re", "enum", "functools", "types", "collections", "keyword",
            "operator", "reprlib", "importlib.resources", "csv",
            "collections.abc", "bisect")

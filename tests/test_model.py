@@ -6,6 +6,7 @@ decimal arithmetic and frozen here.
 
 import collections
 import copy
+import inspect
 import math
 import pickle
 from fractions import Fraction
@@ -428,6 +429,8 @@ class TestRecordTypes:
     def test_keyword_and_positional_construction(self, cls):
         record = next(r for r in RECORDS if type(r) is cls)
         ref = _reference(cls)
+        assert [(p.name, p.default) for p in inspect.signature(cls).parameters.values()] \
+            == [(p.name, p.default) for p in inspect.signature(ref).parameters.values()]
         kwargs = record._asdict()
         assert cls(*record) == cls(**kwargs) == ref(**kwargs) == record
         head, *tail = record._fields

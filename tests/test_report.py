@@ -413,6 +413,18 @@ class TestHeatmapImage:
         assert image.get("preserveAspectRatio") == "none"
         assert image.get("clip-path") == "url(#plot)"
 
+    @pytest.mark.parametrize("axis,centres", [("x", (1e300, 1e308)), ("y", (1e300, 1e308)),
+                                              ("x", (5e-324, 1e-300))])
+    def test_cells_past_the_float_range_are_refused(self, axis, centres):
+        # CurveSet admits these grids, but an outer cell edge, half a log step
+        # beyond the end centres, overflows or underflows to 0
+        ax = AxisSpec("a", "", "log10", 5e-324, 1e308)
+        xs, levels = (centres, (2.0, 3.0)) if axis == "x" else ((2.0, 3.0), centres)
+        cs = CurveSet("t", ax, ax, tuple(Series(name, xs, (0.5, 0.25), level=level)
+                                         for name, level in zip("ab", levels)))
+        with pytest.raises(ValueError, match=f"heat map {axis} cells reach past the float range"):
+            svg.render_svg(cs)
+
     def test_markers_outside_the_plot_are_left_out(self):
         # markers have no clip path: 1e9 PUs lie right of the canvas, 2e8 PUs
         # on the colour bar; only the 1e6-PU record is inside the plot
