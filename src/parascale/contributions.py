@@ -35,8 +35,6 @@ class AlphaDecomposition(Record, fields="alpha_sw ctx_switch_clocks total_clocks
                                        "loop_clocks_per_pu bio_factor"):
     """Constants generating the serial fraction (1-alpha_total)(N)."""
 
-    __slots__ = ()
-
     def __new__(cls, alpha_sw: float, ctx_switch_clocks: float,
                 total_clocks: float, loop_clocks_per_pu: float = 1.0,
                 bio_factor: float = 1.0):
@@ -65,8 +63,6 @@ class AlphaDecomposition(Record, fields="alpha_sw ctx_switch_clocks total_clocks
 
 class MachineModel(Record, fields="perf_per_pu"):
     """Per-PU payload performance of the modeled machine."""
-
-    __slots__ = ()
 
     def __new__(cls, perf_per_pu: float):
         self = tuple.__new__(cls, (perf_per_pu,))
@@ -149,8 +145,6 @@ def rmax_of_rpeak(r_peak: float, m: MachineModel,
 
 class PeakPoint(Record, fields="n_star r_peak_star r_max_star"):
     """Interior maximum of the R_Max(R_Peak) curve at the continuous N*."""
-
-    __slots__ = ()
 
     def __new__(cls, n_star: float, r_peak_star: float, r_max_star: float):
         return tuple.__new__(cls, (n_star, r_peak_star, r_max_star))

@@ -53,9 +53,8 @@ class PayloadExceedsPeak(ValueError):
 
 
 class MachineRecord(Record, fields="machine date benchmark r_peak r_max cores"):
-    """One benchmark measurement row; r_peak, r_max and cores may be None."""
-
-    __slots__ = ()
+    """One benchmark measurement row; r_peak, r_max and cores may be None.
+    Where present, r_peak and r_max are in (0, inf) and cores is a whole count."""
 
     def __new__(cls, machine: str, date: float, benchmark: str,
                 r_peak: float | None = None, r_max: float | None = None,
@@ -64,8 +63,15 @@ class MachineRecord(Record, fields="machine date benchmark r_peak r_max cores"):
             raise ValueError(f"unknown benchmark tag {benchmark!r}")
         if not 1990.0 <= date <= 2100.0:
             raise ValueError(f"date {date} outside [1990, 2100]")
-        if cores is not None and cores < 1:
-            raise ValueError(f"cores must be >= 1, got {cores}")
+        if cores is not None:
+            if cores < 1:
+                raise ValueError(f"cores must be >= 1, got {cores}")
+            if cores % 1 or isinstance(cores, bool):
+                raise ValueError(f"cores must be a whole count, got {cores!r}")
+        if r_peak is not None and not 0.0 < r_peak < math.inf:
+            raise ValueError(f"r_peak must be > 0 and finite, got {r_peak}")
+        if r_max is not None and not 0.0 < r_max < math.inf:
+            raise ValueError(f"r_max must be > 0 and finite, got {r_max}")
         if r_peak is not None and r_max is not None and r_max > r_peak:
             raise PayloadExceedsPeak(
                 f"r_max {r_max:.6g} exceeds r_peak {r_peak:.6g}")
@@ -81,8 +87,6 @@ class DerivedRecord(Record, fields="record efficiency nonparallel"):
     PUs), so a one-core record keeps None.  Either may be None.
     """
 
-    __slots__ = ()
-
     def __new__(cls, record: MachineRecord, efficiency: float | None,
                 nonparallel: float | None):
         return tuple.__new__(cls, (record, efficiency, nonparallel))
@@ -90,8 +94,6 @@ class DerivedRecord(Record, fields="record efficiency nonparallel"):
 
 class TimelineEntry(Record, fields="points ratios"):
     """A machine's (date, r_max) ``points`` in date order and their ``ratios``."""
-
-    __slots__ = ()
 
     def __new__(cls, points: tuple[tuple[float, float], ...], ratios: tuple[float, ...]):
         return tuple.__new__(cls, (points, ratios))
@@ -148,7 +150,7 @@ def parse_records(source: io.TextIOBase | str
         machine, benchmark = machine.strip(), benchmark.strip()
         # a valid row's cells, read inline as the helpers read them (a cell
         # that float() takes has the value float() gives it once stripped)
-        # and tested with MachineRecord's four checks
+        # and tested with MachineRecord's checks
         try:
             r_peak = float(rpeak) * rpeak_scale if rpeak.strip() else None
             r_max = float(rmax) * rmax_scale if rmax.strip() else None

@@ -55,12 +55,18 @@ def logspace(lo: float, hi: float, n: int) -> chain[float]:
                          for i in range(1, n - 1)), (hi,))
 
 
-class Record(tuple):
+class _RecordType(type):
+    """Builds each record class with ``__slots__ = ()``, so that a record is a
+    bare tuple, with no instance dict, as a named tuple is."""
+
+    def __new__(mcs, name, bases, namespace, **kwargs):
+        return super().__new__(mcs, name, bases, {**namespace, "__slots__": ()}, **kwargs)
+
+
+class Record(tuple, metaclass=_RecordType):
     """A tuple with named fields, as a collections named tuple, without loading
     ``collections``: ``class P(Record, fields="x y")``.  A record's ``__new__``
     states its signature and builds the tuple with ``tuple.__new__``."""
-
-    __slots__ = ()
 
     def __init_subclass__(cls, fields: str):
         cls._fields = tuple(fields.split())
@@ -71,7 +77,8 @@ class Record(tuple):
         return dict(zip(self._fields, self))
 
     def _replace(self, /, **changes):
-        """A copy with ``changes`` made, without the checks, as a named tuple's."""
+        """A copy with ``changes`` made, without the checks, as a named tuple's;
+        an unknown field raises ValueError, as named tuples did before 3.13."""
         new = tuple.__new__(type(self), map(changes.pop, self._fields, self))
         if changes:
             raise ValueError(f"Got unexpected field names: {list(changes)!r}")
@@ -109,8 +116,6 @@ class ParallelSystem(Record, fields="n_proc perf_single alpha nonparallel"):
     :meth:`from_nonparallel` is the one way to store it exactly.
     """
 
-    __slots__ = ()
-
     def __new__(cls, n_proc: float, perf_single: float, alpha: float):
         if n_proc < 1:
             raise ValueError(f"n_proc must be >= 1, got {n_proc}")
@@ -135,8 +140,6 @@ class ParallelSystem(Record, fields="n_proc perf_single alpha nonparallel"):
 class RelativisticParams(Record, fields="accel density"):
     """Constant acceleration and the optical density of the medium."""
 
-    __slots__ = ()
-
     def __new__(cls, accel: float = 9.81, density: float = 1.0):
         self = tuple.__new__(cls, (accel, density))
         require_finite(self)
@@ -155,8 +158,6 @@ class RelativisticParams(Record, fields="accel density"):
 class PerformancePoint(Record, fields="r_peak r_max efficiency"):
     """Nominal performance and efficiency in (0, 1], with the payload
     ``r_max = r_peak * efficiency`` they give."""
-
-    __slots__ = ()
 
     def __new__(cls, r_peak: float, efficiency: float):
         require_efficiency(efficiency)

@@ -55,8 +55,6 @@ FIG6_RPEAK_RANGE = PAYLOAD_RPEAK_RANGE  # the decomposition panels' nominal flop
 class AxisSpec(Record, fields="label unit scale min max"):
     """One axis; ``scale`` is "linear" or "log10"."""
 
-    __slots__ = ()
-
     def __new__(cls, label: str, unit: str, scale: str, min: float, max: float):
         if scale not in ("linear", "log10"):
             raise ValueError(f"unknown axis scale {scale!r}")
@@ -75,8 +73,6 @@ class AxisSpec(Record, fields="label unit scale min max"):
 class Series(Record, fields="name xs ys axis level"):
     """Named x and y columns on axis "y" or "y2"; on a heat map ``level`` is their y."""
 
-    __slots__ = ()
-
     def __new__(cls, name: str, xs: Sequence[float], ys: Sequence[float],
                 axis: str = "y", level: float | None = None):
         return tuple.__new__(cls, (name, xs, ys, axis, level))
@@ -87,8 +83,6 @@ class CurveSet(Record, fields="title x_axis y_axis series overlays y2_axis"):
     refuses a value its axes cannot show, an axis it lacks, mixed levels, a heat
     map on a linear axis and heat-map rows that are not a grid (:func:`_check_grid`).
     A heat-map overlay may sit at a level <= 0 on a log axis, off the axes."""
-
-    __slots__ = ()
 
     def __new__(cls, title: str, x_axis: AxisSpec, y_axis: AxisSpec,
                 series: tuple[Series, ...], overlays: tuple[Series, ...] = (),

@@ -247,6 +247,19 @@ class TestRoundTrip:
         serialize_records(accepted, sink)
         assert parse(sink.getvalue()) == (accepted, [])
 
+    @pytest.mark.parametrize("field,value", [
+        ("r_peak", float("nan")), ("r_peak", float("inf")), ("r_peak", -1.0),
+        ("r_max", 0.0), ("cores", 1.5), ("cores", True)])
+    def test_a_value_that_would_not_read_back_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            MachineRecord("X", 2019.0, "HPL", **{field: value})
+        # the cell the writer gives it, from a record built without the checks
+        unchecked = MachineRecord("X", 2019.0, "HPL")._replace(**{field: value})
+        sink = io.StringIO()
+        serialize_records([unchecked], sink)
+        with pytest.raises(ParseError, match=f"column '{field.replace('_', '')}'"):
+            parse(sink.getvalue())
+
     @pytest.mark.parametrize("name", ["a\rb", "a\r\nb", 'a,"b\r"c'])
     def test_line_breaks_in_a_name_read_back_from_a_file(self, tmp_path, name):
         records = [MachineRecord(name, 2000.0, "HPL", 2e12, 1e12, 8)]

@@ -9,6 +9,7 @@ import copy
 import inspect
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,9 @@ from parascale import contributions, ingest, model, report
 from parascale.model import (LIGHT_SPEED, ParallelSystem, PerformancePoint,
                              RelativisticParams, alpha_from_measurement,
                              classic_speed, classic_total_perf, efficiency,
-                             efficiency_from_nonparallel, modern_total_perf,
-                             relativistic_speed, saturation_limit)
+                             efficiency_from_nonparallel, logspace,
+                             modern_total_perf, relativistic_speed,
+                             saturation_limit)
 
 TAIHULIGHT_CORES = 10_649_600
 
@@ -79,6 +81,10 @@ class TestEfficiency:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             efficiency(10, 1.5)
+        with pytest.raises(ValueError, match=r"^n_proc must be >= 1, got 0\.5$"):
+            efficiency_from_nonparallel(0.5, 0.1)
+        with pytest.raises(ValueError, match=r"^nonparallel must be >= 0, got -0\.1$"):
+            efficiency_from_nonparallel(10, -0.1)
 
     @settings(max_examples=500, derandomize=True)
     @given(st.floats(1.0, 1e12), st.floats(0.0, 1e3))
@@ -179,6 +185,8 @@ class TestSpeeds:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             relativistic_speed(-1.0, RelativisticParams())
+        with pytest.raises(ValueError, match=r"^t must be >= 0, got -1\.0$"):
+            classic_speed(-1.0, 9.81)
 
     def test_classic_overflow_is_an_error(self):
         assert math.isfinite(classic_speed(1e300, 9.81))
@@ -209,6 +217,13 @@ class TestValidation:
         sys2 = ParallelSystem.from_nonparallel(10, 100e9, 3.3e-8)
         assert sys2.nonparallel == 3.3e-8
         assert sys2.alpha == pytest.approx(1.0, abs=1e-7)
+
+    @pytest.mark.parametrize("lo,hi,n,message", [
+        (1.0, 1.0, 5, r"need 0 < lo < hi, got \[1\.0, 1\.0\]"),
+        (1.0, 10.0, 1, "need at least 2 samples")])
+    def test_logspace_refuses_an_empty_range_or_one_sample(self, lo, hi, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            logspace(lo, hi, n)
 
     def test_relativistic_params_invariants(self):
         with pytest.raises(ValueError):
@@ -409,6 +424,10 @@ class TestRecordTypes:
         assert record == ref == tuple(record)
         assert hash(record) == hash(ref) == hash(tuple(record))
         assert [getattr(record, f) for f in cls._fields] == list(record)
+        for twin in (record, ref):  # a bare tuple: no instance dict to add a name to
+            assert not hasattr(twin, "__dict__")
+            with pytest.raises(AttributeError):
+                setattr(twin, "no_such_field", 1)
 
     @pytest.mark.parametrize("record", RECORDS, ids=_ids(RECORDS))
     def test_replace_skips_the_checks(self, record):
@@ -422,7 +441,10 @@ class TestRecordTypes:
             assert tuple(changed) == tuple(ref._replace(**{name: bad}))
         with pytest.raises(ValueError, match="no_such_field"):
             record._replace(no_such_field=1)
-        with pytest.raises(ValueError, match="no_such_field"):
+        # the package's error on every version; named tuples raise TypeError
+        # from 3.13 on
+        with pytest.raises(TypeError if sys.version_info >= (3, 13) else ValueError,
+                           match="no_such_field"):
             ref._replace(no_such_field=1)
 
     @pytest.mark.parametrize("cls", PLAIN, ids=[c.__name__ for c in PLAIN])

@@ -725,6 +725,8 @@ class TestCurveSetValidation:
         ax = AxisSpec("x", "", "linear", 0.0, 1.0)
         with pytest.raises(ValueError, match="empty"):
             CurveSet("t", ax, ax, series=(Series("s", (), ()),))
+        with pytest.raises(ValueError, match="^curve set needs at least one series$"):
+            CurveSet("t", ax, ax, series=())
 
     def test_log_axis_positive(self):
         log_ax = AxisSpec("x", "", "log10", 1.0, 10.0)
@@ -756,6 +758,8 @@ class TestCurveSetValidation:
     def test_axis_order(self):
         with pytest.raises(ValueError):
             AxisSpec("x", "", "linear", 2.0, 1.0)
+        with pytest.raises(ValueError, match="^unknown axis scale 'cubic'$"):
+            AxisSpec("x", "", "cubic", 1.0, 2.0)
 
     @pytest.mark.parametrize("parts,message", [
         pytest.param({"series": (Series("a", (1.0, math.nan), (2.0, 3.0)),)},
