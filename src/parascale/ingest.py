@@ -33,6 +33,7 @@ from .model import Record, alpha_from_measurement, require_efficiency
 from .units import PREFIX_EXP
 
 BENCHMARKS = ("HPL", "HPCG")
+_TAGS = {tag: tag for tag in BENCHMARKS}  # a tag cell to the str BENCHMARKS holds
 
 _HEADER_FIELDS = ("machine", "date", "benchmark", "rpeak", "rmax", "cores")
 #: the characters that make a CSV cell need quotes
@@ -54,7 +55,8 @@ class PayloadExceedsPeak(ValueError):
 
 class MachineRecord(Record, fields="machine date benchmark r_peak r_max cores"):
     """One benchmark measurement row; r_peak, r_max and cores may be None.
-    Where present, r_peak and r_max are in (0, inf) and cores is a whole count."""
+    Where present, r_peak and r_max are in (0, inf) and cores is a whole count;
+    each number is an int or float (no bool) equal to its float."""
 
     def __new__(cls, machine: str, date: float, benchmark: str,
                 r_peak: float | None = None, r_max: float | None = None,
@@ -66,12 +68,20 @@ class MachineRecord(Record, fields="machine date benchmark r_peak r_max cores"):
         if cores is not None:
             if cores < 1:
                 raise ValueError(f"cores must be >= 1, got {cores}")
-            if cores % 1 or isinstance(cores, bool):
+            if cores % 1:
                 raise ValueError(f"cores must be a whole count, got {cores!r}")
         if r_peak is not None and not 0.0 < r_peak < math.inf:
             raise ValueError(f"r_peak must be > 0 and finite, got {r_peak}")
         if r_max is not None and not 0.0 < r_max < math.inf:
             raise ValueError(f"r_max must be > 0 and finite, got {r_max}")
+        for name, value in (("date", date), ("r_peak", r_peak), ("r_max", r_max),
+                            ("cores", cores)):
+            try:  # what serialize_records writes of an exact int or float reads back
+                exact = value is None or type(value) in (int, float) and float(value) == value
+            except OverflowError:  # an int past the float range
+                exact = False
+            if not exact:
+                raise ValueError(f"{name} must be an exact int or float, got {value!r}")
         if r_peak is not None and r_max is not None and r_max > r_peak:
             raise PayloadExceedsPeak(
                 f"r_max {r_max:.6g} exceeds r_peak {r_peak:.6g}")
@@ -143,29 +153,31 @@ def parse_records(source: io.TextIOBase | str
     width = len(fields)
     pick = itemgetter(*map(fields.index, _HEADER_FIELDS))
     rpeak_scale, rmax_scale, inf = scales["rpeak"], scales["rmax"], math.inf
+    dates: dict[str, float] = {}  # each date cell's float, shared by its rows
     for line, row in rows:
         if len(row) != width:
             raise ParseError(line, "*", f"expected {width} cells, got {len(row)}")
         machine, date, benchmark, rpeak, rmax, cores = pick(row)
-        machine, benchmark = machine.strip(), benchmark.strip()
+        machine, tag = machine.strip(), _TAGS.get(benchmark)
         # a valid row's cells, read inline as the helpers read them (a cell
         # that float() takes has the value float() gives it once stripped)
-        # and tested with MachineRecord's checks
+        # and tested with MachineRecord's checks (a tag cell must be exactly a tag)
         try:
             r_peak = float(rpeak) * rpeak_scale if rpeak.strip() else None
             r_max = float(rmax) * rmax_scale if rmax.strip() else None
-            when = float(date)
+            if (when := dates.get(date)) is None:
+                when = dates[date] = float(date)
             n = float(cores) if cores.strip() else None
             valid = ((r_peak is None or 0 < r_peak < inf)
                      and (r_max is None or 0 < r_max < inf
                           and (r_peak is None or r_max <= r_peak))
-                     and 1990.0 <= when <= 2100.0 and benchmark in BENCHMARKS
+                     and 1990.0 <= when <= 2100.0 and tag is not None
                      and (n is None or n >= 1 and n.is_integer()))
         except ValueError:
             valid = False
         if valid:
             records.append(tuple.__new__(MachineRecord, (
-                machine, when, benchmark, r_peak, r_max,
+                machine, when, tag, r_peak, r_max,
                 None if n is None else int(n))))
             continue
         # rpeak, rmax, date, cores: the order in which errors are raised
@@ -174,7 +186,8 @@ def parse_records(source: io.TextIOBase | str
         when = _parse_float(date, line, "date")
         n = _parse_cores(cores, line)
         try:  # MachineRecord words the error of a row its checks refuse
-            records.append(MachineRecord(machine, when, benchmark, r_peak, r_max, n))
+            records.append(MachineRecord(machine, when, benchmark.strip(),
+                                         r_peak, r_max, n))
         except PayloadExceedsPeak as exc:
             warnings.append(f"line {line}: rejected {machine!r}: {exc}")
         except ValueError as exc:

@@ -210,15 +210,17 @@ def _colour_steps() -> tuple[tuple[float, ...], tuple[bytes, ...]]:
     steps = []
     for half, (lo, hi) in enumerate(zip(_STOPS, _STOPS[1:])):
         for a, b in zip(lo, hi):
-            # a + (b - a)*u rounds past k once it crosses k + 1/2: bisect the
-            # floats around that point with _rgb's own expression for the channel
+            # a + (b - a)*u rounds past k once it crosses k + 1/2: step from there
+            # to the first float past k by _rgb's own expression for the channel
+            def past(t: float) -> bool:
+                return (round(a + (b - a) * ((t - 0.5 * half) * 2.0)) > k) == (b > a)
             for k in range(min(a, b), max(a, b)):
                 t = ((k + 0.5 - a) / (b - a) + half) / 2.0
-                below, above = t - 2.0 ** -48, t + 2.0 ** -48
-                while below < (t := (below + above) / 2.0) < above:
-                    past = (round(a + (b - a) * ((t - 0.5 * half) * 2.0)) > k) == (b > a)
-                    below, above = (below, t) if past else (t, above)
-                steps.append(above)
+                while past(t):
+                    t = math.nextafter(t, -math.inf)
+                while not past(t):
+                    t = math.nextafter(t, math.inf)
+                steps.append(t)
     steps.sort()
     n = len(steps)
     packed = _rgb([0.0, *steps, *(math.nextafter(t, 0.0) for t in steps)])

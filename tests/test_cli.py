@@ -984,6 +984,14 @@ class TestBrokenPipe:
             err.seek(0)
             assert err.read() == ""
 
+    def test_in_process_the_exit_time_flush_goes_to_devnull(self, monkeypatch):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        with open(write, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert cli.main(["sweep", "--preset", "HPL", "--points", "4"]) == 0
+            assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+
 
 class TestInternalError:
     @staticmethod

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from fractions import Fraction
 
 import pytest
 import reference_ingest
@@ -90,6 +91,30 @@ class TestParse:
     def test_date_out_of_range(self):
         with pytest.raises(ParseError):
             parse(HEADER + "A,1402.0,HPL,2e12,1e12,\n")
+
+    def test_records_share_their_tag_and_date_cells(self):
+        records, _ = parse(HEADER + "A,2018.5,HPL,2e12,1e12,8\n"
+                                    "B,2018.5,HPCG,,1e12,\n"
+                                    "C,2019.0,HPL,2e12,1e12,\n"
+                                    "D,2018.5,HPCG,2e12,1e12,4\n")
+        # each tag is the one string in BENCHMARKS, not a copy of the cell
+        hpl, hpcg = ingest.BENCHMARKS
+        assert [r.benchmark for r in records] == [hpl, hpcg, hpl, hpcg]
+        assert all(r.benchmark is tag for r, tag in zip(records, [hpl, hpcg, hpl, hpcg]))
+        a, b, c, d = (r.date for r in records)
+        assert a is b is d and a == 2018.5 and c == 2019.0
+
+    @pytest.mark.parametrize("cell", [" HPL ", "HPL\t", "hpl", "STREAM", ""])
+    def test_a_tag_cell_not_exactly_a_tag(self, cell):
+        # a padded tag takes the checked path and is stripped, as it was
+        # before the fast path shared the tags; any other cell is refused
+        text = HEADER + f"A,2000.0,{cell},2e12,1e12,8\n"
+        outcome = _outcome(parse_records, text)
+        assert outcome == _outcome(reference_ingest.parse_records, text)
+        if cell.strip() == "HPL":
+            assert outcome[1][0][0].benchmark == "HPL"
+        else:
+            assert outcome[3] == f"line 2, column '*': unknown benchmark tag {cell!r}"
 
     def test_unknown_header_column(self):
         with pytest.raises(ParseError):
@@ -227,6 +252,21 @@ def _records(draw, names=_names):
     )
 
 
+@st.composite
+def _record_numbers(draw):
+    """MachineRecord's four numbers, each a float or an int in its range,
+    and then perhaps one of them any float (inf and nan too), an int of any
+    size, a bool or a Fraction."""
+    numbers = {"date": draw(st.floats(1990, 2100) | st.integers(1990, 2100))}
+    for field in ("r_peak", "r_max", "cores"):
+        numbers[field] = draw(st.none() | st.integers(1, 2**70) | st.floats(1, 2**70))
+    if field := draw(st.sampled_from([None, *numbers])):
+        numbers[field] = draw(st.one_of(
+            st.floats(), st.integers(-2**70, 10**400), st.booleans(),
+            st.fractions(1990, 2100, max_denominator=4)))
+    return numbers
+
+
 class TestRoundTrip:
     @settings(max_examples=200, derandomize=True)
     @given(records=st.lists(_records(_names | _awkward_names), max_size=20))
@@ -259,6 +299,36 @@ class TestRoundTrip:
         serialize_records([unchecked], sink)
         with pytest.raises(ParseError, match=f"column '{field.replace('_', '')}'"):
             parse(sink.getvalue())
+
+    @pytest.mark.parametrize("field,value", [
+        ("r_peak", True), ("r_max", Fraction(1, 2)), ("date", Fraction(4001, 2)),
+        ("cores", 10**400), ("cores", 2**53 + 1), ("r_peak", 2**60 + 1)],
+        ids=["r_peak-True", "r_max-1/2", "date-4001/2", "cores-10**400",
+             "cores-2**53+1", "r_peak-2**60+1"])
+    def test_a_value_that_is_no_exact_float_is_refused(self, field, value):
+        values = {"date": 2019.0, field: value}
+        with pytest.raises(ValueError) as exc:
+            MachineRecord("X", benchmark="HPL", **values)
+        assert str(exc.value) == f"{field} must be an exact int or float, got {value!r}"
+        # the text the writer gives it, from a record built without the
+        # checks, is refused or reads back changed
+        unchecked = MachineRecord("X", 2019.0, "HPL")._replace(**{field: value})
+        sink = io.StringIO()
+        serialize_records([unchecked], sink)
+        assert _outcome(parse_records, sink.getvalue()) != ("ok", ([unchecked], []))
+
+    @settings(max_examples=300, derandomize=True)
+    @given(name=_names, numbers=_record_numbers())
+    @example(name="X", numbers={"date": 2000, "r_peak": 2**53, "r_max": 1.5,
+                                "cores": 2.0**60})
+    def test_every_record_the_checks_take_reads_back(self, name, numbers):
+        try:
+            r = MachineRecord(name, benchmark="HPL", **numbers)
+        except ValueError:
+            return
+        sink = io.StringIO()
+        serialize_records([r], sink)
+        assert parse(sink.getvalue()) == ([r], [])
 
     @pytest.mark.parametrize("name", ["a\rb", "a\r\nb", 'a,"b\r"c'])
     def test_line_breaks_in_a_name_read_back_from_a_file(self, tmp_path, name):
