@@ -197,7 +197,7 @@ def parse_records(source: io.TextIOBase | str
 
 def _non_comment_rows(source: Iterable[str] | str) -> Iterable[tuple[int, list[str]]]:
     """Yield (file line number, row) past a leading BOM, comments and blank lines."""
-    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    lines = iter(io.StringIO(source, newline="") if isinstance(source, str) else source)
     first = next(lines, "").removeprefix("\ufeff")
     reader = csv_reader(itertools.chain((first,), lines))
     try:
@@ -397,9 +397,11 @@ def join_meta(records: Iterable[MachineRecord],
     return out
 
 
-def _open_csv(path: str) -> io.TextIOBase:
-    """``path`` opened as the csv module needs it: ``newline=""`` keeps line breaks."""
-    return open(path, encoding="utf-8", newline="")
+def _read(path: str, parse):
+    """``parse`` of the file at ``path``, opened as the csv module needs it and
+    as a ``str`` is read: ``\\n``, ``\\r\\n`` and a bare ``\\r`` end a line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return parse(fh)
 
 
 def load_records(data_path: str | None,
@@ -407,8 +409,7 @@ def load_records(data_path: str | None,
     """Parse the measurement CSV at ``data_path``, or the named bundled one."""
     if data_path is None:
         return load_bundled(bundled_name)
-    with _open_csv(data_path) as fh:
-        return parse_records(fh)
+    return _read(data_path, parse_records)
 
 
 def bundled_path(name: str) -> str:
@@ -420,10 +421,8 @@ def bundled_path(name: str) -> str:
 
 def load_bundled(name: str) -> tuple[list[MachineRecord], list[str]]:
     """Parse one of the shipped measurement datasets."""
-    with _open_csv(bundled_path(name)) as fh:
-        return parse_records(fh)
+    return _read(bundled_path(name), parse_records)
 
 
 def load_bundled_meta() -> dict[str, dict[str, float]]:
-    with _open_csv(bundled_path("machines_meta.csv")) as fh:
-        return load_meta(fh)
+    return _read(bundled_path("machines_meta.csv"), load_meta)

@@ -50,10 +50,6 @@ def _escape(text: str) -> str:
     return text.translate(_ESCAPES)
 
 
-def _tick_label(v: float) -> str:
-    return f"{v:g}"
-
-
 def _scale(spec, lo_px: float, hi_px: float) -> Callable[[Iterable[float]], list[float]]:
     """Pixel transform for an axis spec over the given pixel span: it maps a
     column of values to their pixel positions, in order."""
@@ -122,13 +118,13 @@ def render_svg(cs) -> str:
         out.append(f'<line x1="{px:.2f}" y1="{PLOT_T}" x2="{px:.2f}" '
                    f'y2="{PLOT_B}" stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{px:.2f}" y="{PLOT_B + 20}" text-anchor="middle" '
-                   f'font-size="12" {_FONT}>{_tick_label(v)}</text>')
+                   f'font-size="12" {_FONT}>{v:g}</text>')
     ticks = _ticks(cs.y_axis)
     for v, py in zip(ticks, y_px(ticks)):
         out.append(f'<line x1="{PLOT_L}" y1="{py:.2f}" x2="{PLOT_R}" '
                    f'y2="{py:.2f}" stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{PLOT_L - 8}" y="{py + 4:.2f}" text-anchor="end" '
-                   f'font-size="12" {_FONT}>{_tick_label(v)}</text>')
+                   f'font-size="12" {_FONT}>{v:g}</text>')
 
     if cs.series[0].level is not None:
         _render_heatmap(cs, out, x_px, y_px)
@@ -151,7 +147,7 @@ def render_svg(cs) -> str:
         for v, py in zip(ticks, y2_px(ticks)):
             out.append(f'<text x="{PLOT_R + 8}" y="{py + 4:.2f}" '
                        f'text-anchor="start" font-size="12" {_FONT}>'
-                       f'{_tick_label(v)}</text>')
+                       f'{v:g}</text>')
         out.append(f'<text x="{WIDTH - 16}" y="{mid_y:.1f}" text-anchor="middle" '
                    f'font-size="14" {_FONT} transform="rotate(90 '
                    f'{WIDTH - 16} {mid_y:.1f})">'

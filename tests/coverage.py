@@ -22,21 +22,14 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 PACKAGE = os.path.join(os.path.dirname(HERE), "src", "parascale")
 
 #: (module, function or the text of one line, reason): the code that
-#: tier-1 runs only in child processes, which this process does not see, and
-#: the self-checks no input reaches.  A function's entry covers each of its
-#: lines; a line's text covers each line of the module that reads so, with
-#: leading and trailing blanks stripped.
+#: tier-1 runs only in child processes, which this process does not see.  A
+#: function's entry covers each of its lines; a line's text covers each line
+#: of the module that reads so, with leading and trailing blanks stripped.
 ALLOWED = [
-    ("__init__.py", "__getattr__",
-     "the lazy load of ingest's names; TestPackageRoot runs it in a fresh child"),
-    ("__init__.py", "__dir__",
-     "lists the names before ingest loads; TestPackageRoot runs it in a fresh child"),
     ("cli.py", "run",
      "the console script's entry point, which freezes the heap; run only as a child"),
     ("cli.py", "sys.exit(run())",
      "`python -m parascale.cli`, which tests run only as a child process"),
-    ("svg.py", 'raise RuntimeError("the gradient\'s colour steps disagree with _rgb")',
-     "the colour table's self-check: the tests check the table against _rgb instead"),
 ]
 
 

@@ -62,7 +62,7 @@ def parse_records(source: io.TextIOBase | str
     yields an empty list.
     """
     if isinstance(source, str):
-        source = io.StringIO(source)
+        source = io.StringIO(source, newline="")
     records: list[MachineRecord] = []
     warnings: list[str] = []
     fields: list[str] | None = None

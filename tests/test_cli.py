@@ -903,6 +903,18 @@ class TestPackageRoot:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["[]", "False", "[]", "[]"]
 
+    def test_in_process_an_ingest_name_loads_on_first_use(self, monkeypatch):
+        import parascale
+        from parascale import ingest
+        assert parascale.derive is ingest.derive  # bound, so monkeypatch restores it
+        monkeypatch.delitem(vars(parascale), "derive")
+        assert parascale.derive is ingest.derive
+        assert vars(parascale)["derive"] is ingest.derive  # bound again by __getattr__
+
+    def test_in_process_dir_lists_every_public_name(self):
+        import parascale
+        assert set(parascale.__all__) <= set(dir(parascale))
+
     def test_unknown_name_is_attribute_error(self):
         import parascale
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import reference_ingest
-from csv_fuzz import META_FILE, csv_text
+from csv_fuzz import MEASUREMENT_FILES, META_FILE, csv_text
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -482,6 +482,42 @@ class TestParseFuzz:
             load_meta(text)
         except ParseError:
             pass
+
+
+ROWS = ["A,2000.0,HPL,2e12,1e12,8", "B,2001.0,HPCG,,1e12,"]
+META_ROWS = ["machine,cores,rpeak_flops", "X,10,1e12"]
+
+
+class TestOneWayIn:
+    """A ``str`` reads as the same text does from a file opened with
+    ``newline=""``: ``\\n``, ``\\r\\n`` and a bare ``\\r`` each end a line."""
+
+    @settings(max_examples=500, derandomize=True)
+    @given(text=csv_text((*MEASUREMENT_FILES, META_FILE)))
+    @example(text="\r".join([HEADER[:-1], *ROWS, ""]))
+    @example(text="\r\n".join([HEADER[:-1], *ROWS, ""]))
+    @example(text="\n".join([HEADER[:-1], *ROWS, ""]))
+    @example(text="# a\r" + HEADER[:-1] + "\r\n" + ROWS[0] + "\n" + ROWS[1] + "\r")
+    @example(text=HEADER + '"A\rB",2000.0,HPL,2e12,1e12,8\r"C\r",2001.0,HPL,,1e12,\n')
+    @example(text="\r".join([*META_ROWS, ""]))
+    @example(text=META_ROWS[0] + "\r\n" + META_ROWS[1] + '\r"Y\rZ",20,2e12\n')
+    def test_a_str_gives_the_outcome_of_its_file(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "one_way_in.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+        def meta_from_file(_):
+            with open(path, encoding="utf-8", newline="") as fh:
+                return load_meta(fh)
+
+        assert (_outcome(parse_records, text)
+                == _outcome(lambda _: ingest.load_records(str(path), "unused.csv"), text))
+        assert _outcome(load_meta, text) == _outcome(meta_from_file, text)
+
+    def test_a_quoted_cell_keeps_its_bare_cr(self):
+        records, _ = parse_records(HEADER.replace("\n", "\r") + '"A\rB",2000.0,HPL,,1e12,\r')
+        assert [r.machine for r in records] == ["A\rB"]
+        assert list(load_meta('machine,cores,rpeak_flops\r"Y\rZ",20,2e12\r')) == ["Y\rZ"]
 
 
 class TestDerive:

@@ -181,6 +181,14 @@ class TestColourRamp:
         table = svg._COLOUR_TABLE
         assert table is not None and svg._colour_steps() is table
 
+    def test_self_check_refuses_steps_that_do_not_change_the_colour(self, monkeypatch):
+        monkeypatch.setattr(svg, "_COLOUR_TABLE", None)
+        monkeypatch.setattr(svg, "_rgb", lambda ts: bytes(3 * len(ts)))  # one colour
+        with pytest.raises(RuntimeError,
+                           match="^the gradient's colour steps disagree with _rgb$"):
+            svg._colour_steps()
+        assert svg._COLOUR_TABLE is None
+
     def test_colormap_is_the_ramp_in_hex(self):
         # figure 1's colour bar: 24 fills from the bottom up, at t = i / 24
         root = ET.fromstring(svg.render_svg(build_figure("1")))
